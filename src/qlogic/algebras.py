@@ -5,6 +5,12 @@ The commutant is computed as the solution space of the linear system
 Generated algebras are double commutants; centers are span intersections;
 minimal central projections come from eigenspaces of a random Hermitian
 central element, verified and retried if the randomization lands degenerate.
+
+Builds are memoized by content: a generating family with the same dimension,
+tolerance ladder and generator entries returns the algebra already built,
+from a store that keeps the last few builds.  The build is deterministic,
+so a stored algebra is the one a fresh build would return.  Algebras are
+read-only (frozen, with read-only arrays) because callers share them.
 """
 
 from __future__ import annotations
@@ -22,6 +28,10 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 # Cap on basis-product pairs checked during closure validation, so the full
 # dim-16 algebra (256 basis elements) stays constructible.
 _CLOSURE_CHECK_CAP = 2048
+
+# Algebras kept by algebra_from_generators, oldest evicted first.
+_MEMO_SIZE = 8
+_memo: dict[tuple, MatrixAlgebra] = {}
 
 
 def _vec(m: np.ndarray) -> np.ndarray:
@@ -59,7 +69,7 @@ def commutant(generators: Sequence[np.ndarray], dim: int,
     system = np.vstack(rows) if rows else np.zeros((0, dim * dim), dtype=complex)
     basis_vectors = solution_basis(system, dim * dim, tol, scale_floor=1.0)
     basis = [basis_vectors[:, k].reshape(dim, dim) for k in range(basis_vectors.shape[1])]
-    if not _span_contains(basis_vectors, _vec(np.eye(dim, dtype=complex)), tol):
+    if not _span_contains(basis_vectors, _vec(np.eye(dim, dtype=complex))[:, None], tol):
         raise QLogicError("commutant basis does not span the identity")
     return basis
 
@@ -71,10 +81,13 @@ def _stack(basis: Sequence[np.ndarray]) -> np.ndarray:
     return np.column_stack([_vec(b) for b in basis])
 
 
-def _span_contains(stack: np.ndarray, vector: np.ndarray,
+def _span_contains(stack: np.ndarray, vectors: np.ndarray,
                    tol: ToleranceConfig) -> bool:
-    residual = vector - stack @ (dagger(stack) @ vector)
-    return float(np.linalg.norm(residual)) <= tol.assert_tol * max(1.0, float(np.linalg.norm(vector)))
+    """Every column v of ``vectors`` lies in the span of the orthonormal
+    ``stack``, up to assert_tol * max(1, |v|)."""
+    residual = vectors - stack @ (dagger(stack) @ vectors)
+    limit = tol.assert_tol * np.maximum(1.0, np.linalg.norm(vectors, axis=0))
+    return bool(np.all(np.linalg.norm(residual, axis=0) <= limit))
 
 
 def span_equal(first: Sequence[np.ndarray], second: Sequence[np.ndarray],
@@ -88,23 +101,24 @@ def span_equal(first: Sequence[np.ndarray], second: Sequence[np.ndarray],
     a, b = range_basis(_stack(first), tol), range_basis(_stack(second), tol)
     if a.shape[1] != b.shape[1]:
         return False
-    return all(_span_contains(a, b[:, k], tol) for k in range(b.shape[1])) and \
-        all(_span_contains(b, a[:, k], tol) for k in range(a.shape[1]))
+    return _span_contains(a, b, tol) and _span_contains(b, a, tol)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MatrixAlgebra:
     """A unital *-subalgebra of the dim x dim matrices.
 
     ``basis`` and ``commutant_basis`` are Hilbert-Schmidt orthonormal; the
-    generating set is kept for reports.  Construct via
-    :func:`algebra_from_generators`, which validates the invariants.
+    generating set is kept for reports.  All three are tuples of read-only
+    arrays, and the instance is frozen, since built algebras are shared.
+    Construct via :func:`algebra_from_generators`, which validates the
+    invariants.
     """
 
     dim: int
-    generators: list[np.ndarray] = field(repr=False)
-    basis: list[np.ndarray] = field(repr=False)
-    commutant_basis: list[np.ndarray] = field(repr=False)
+    generators: tuple[np.ndarray, ...] = field(repr=False)
+    basis: tuple[np.ndarray, ...] = field(repr=False)
+    commutant_basis: tuple[np.ndarray, ...] = field(repr=False)
     tol: ToleranceConfig = DEFAULT_TOL
 
     @property
@@ -115,29 +129,64 @@ class MatrixAlgebra:
         return f"MatrixAlgebra(dim={self.dim}, size={self.size})"
 
 
+def _read_only(matrices) -> tuple[np.ndarray, ...]:
+    for m in matrices:
+        m.setflags(write=False)
+    return tuple(matrices)
+
+
 def algebra_from_generators(generators: Sequence[np.ndarray], dim: int,
                             tol: ToleranceConfig = DEFAULT_TOL) -> MatrixAlgebra:
     """Double commutant of the generators, with construction-time invariants.
 
     Checks: the identity is in the span, the span is closed under product and
     adjoint, and the double commutant of the result reproduces the commutant
-    (fixpoint).
+    (fixpoint).  A family already built at the same dimension and tolerance
+    returns the stored algebra (see the module docstring).
     """
     gens = [require_square(g) for g in generators]
+    key = (dim, tol, tuple((g.shape, g.tobytes()) for g in gens))
+    algebra = _memo.get(key)
+    if algebra is None:
+        algebra = _build_algebra([g.copy() for g in gens], dim, tol)
+        if len(_memo) >= _MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+        _memo[key] = algebra
+    return algebra
+
+
+def _build_algebra(gens: list[np.ndarray], dim: int, tol: ToleranceConfig) -> MatrixAlgebra:
     comm = commutant(gens, dim, tol)
     basis = commutant(comm, dim, tol)
     stack = _stack(basis)
-    for b in basis:
-        if not _span_contains(stack, _vec(dagger(b)), tol):
-            raise QLogicError("algebra span is not adjoint-closed")
-    pairs = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
-    for i, j in pairs[:_CLOSURE_CHECK_CAP]:
-        if not _span_contains(stack, _vec(basis[i] @ basis[j]), tol):
-            raise QLogicError("algebra span is not closed under products")
+    if not _span_contains(stack, _stack([dagger(b) for b in basis]), tol):
+        raise QLogicError("algebra span is not adjoint-closed")
+    _check_product_closed(basis, stack, tol)
     if not span_equal(commutant(basis, dim, tol), comm, tol):
         raise QLogicError("double commutant fixpoint failed")
-    return MatrixAlgebra(dim=dim, generators=gens, basis=basis,
-                         commutant_basis=comm, tol=tol)
+    return MatrixAlgebra(dim=dim, generators=_read_only(gens), basis=_read_only(basis),
+                         commutant_basis=_read_only(comm), tol=tol)
+
+
+def _check_product_closed(basis: Sequence[np.ndarray], stack: np.ndarray,
+                          tol: ToleranceConfig) -> None:
+    """Raise unless the products basis[i] @ basis[j] lie in span(stack).
+
+    Pairs are taken in row-major order up to _CLOSURE_CHECK_CAP of them; each
+    row's products are formed and projected as one batch.
+    """
+    if not basis:
+        return
+    cube = np.stack(basis)
+    budget = _CLOSURE_CHECK_CAP
+    for b in basis:
+        if budget <= 0:
+            break
+        count = min(len(basis), budget)
+        products = np.matmul(b, cube[:count]).reshape(count, -1).T
+        if not _span_contains(stack, products, tol):
+            raise QLogicError("algebra span is not closed under products")
+        budget -= count
 
 
 def contains(algebra: MatrixAlgebra, matrix, tol: ToleranceConfig | None = None) -> bool:

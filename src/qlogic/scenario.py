@@ -10,6 +10,7 @@ vectors.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,15 +53,22 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise ScenarioParseError(path, message)
 
 
+def _as_real(value, path: str) -> float:
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
+            path, "expected a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    _expect(math.isfinite(number), path, "expected a finite number")
+    return number
+
+
 def _as_complex(value, path: str) -> complex:
     _expect(isinstance(value, (list, tuple)) and len(value) == 2,
             path, "expected a two-element [re, im] array")
     re, im = value
-    _expect(isinstance(re, (int, float)) and not isinstance(re, bool),
-            f"{path}[0]", "expected a number")
-    _expect(isinstance(im, (int, float)) and not isinstance(im, bool),
-            f"{path}[1]", "expected a number")
-    return complex(re, im)
+    return complex(_as_real(re, f"{path}[0]"), _as_real(im, f"{path}[1]"))
 
 
 def _as_vector(value, path: str) -> np.ndarray:

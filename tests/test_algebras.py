@@ -1,9 +1,14 @@
 """Commutants, double commutants, centers, minimal central projections."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
+from qlogic import algebras
 from qlogic.algebras import (
     MatrixAlgebra,
     algebra_from_generators,
@@ -13,8 +18,10 @@ from qlogic.algebras import (
     minimal_central_projections,
     span_equal,
 )
+from qlogic.errors import DimensionMismatchError, QLogicError
 from qlogic.linalg import dagger, opnorm
-from qlogic.sampling import haar_unitary
+from qlogic.sampling import haar_unitary, random_block_observables, random_observable, rng_from_seed
+from qlogic.tolerances import DEFAULT_TOL, ToleranceConfig
 
 
 def test_commutant_of_nothing_is_everything():
@@ -124,3 +131,178 @@ def test_double_commutant_is_idempotent(rng):
     again = algebra_from_generators(alg.basis, 4)
     assert again.size == alg.size
     assert span_equal(alg.basis, again.basis)
+
+
+# ---------------------------------------------------------------------------
+# memoized builds
+
+
+def test_memo_returns_the_same_algebra_for_equal_generators():
+    first = algebra_from_generators([SIGMA_X, SIGMA_Z], 2)
+    again = algebra_from_generators([SIGMA_X.copy(), SIGMA_Z.real], 2)
+    assert again is first
+
+
+def test_memo_misses_on_dimension_tolerance_and_entries():
+    assert algebra_from_generators([], 2).dim == 2
+    assert algebra_from_generators([], 3).dim == 3
+    algebra_from_generators([SIGMA_X], 2)
+    with pytest.raises(DimensionMismatchError):
+        algebra_from_generators([SIGMA_X], 3)
+    base = algebra_from_generators([SIGMA_X, SIGMA_Z], 2)
+    looser = ToleranceConfig(assert_tol=1e-7)
+    other_tol = algebra_from_generators([SIGMA_X, SIGMA_Z], 2, looser)
+    assert other_tol is not base and other_tol.tol == looser
+    nudged = SIGMA_Z.copy()
+    nudged[0, 0] += 1e-12
+    assert algebra_from_generators([SIGMA_X, nudged], 2) is not base
+    assert algebra_from_generators([SIGMA_Z, SIGMA_X], 2) is not base
+
+
+def test_memo_is_not_changed_by_mutating_the_input():
+    g = np.diag([1.0, 2.0, 2.0]).astype(complex)
+    alg = algebra_from_generators([g], 3)
+    basis = [b.copy() for b in alg.basis]
+    g[0, 1] = g[1, 0] = 1.0
+    assert np.array_equal(alg.generators[0], np.diag([1.0, 2.0, 2.0]))
+    assert all(np.array_equal(b, c) for b, c in zip(alg.basis, basis))
+    changed = algebra_from_generators([g], 3)
+    assert changed is not alg and changed.size != alg.size
+
+
+def test_memoized_algebras_are_read_only():
+    alg = algebra_from_generators([SIGMA_X, SIGMA_Z], 2)
+    assert isinstance(alg.basis, tuple)
+    for field in (alg.generators, alg.basis, alg.commutant_basis):
+        with pytest.raises(ValueError):
+            field[0][0, 0] = 7.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        alg.dim = 3
+
+
+def test_memo_store_stays_bounded():
+    first = algebra_from_generators([np.diag([0.0, 1.0])], 2)
+    for k in range(3 * algebras._MEMO_SIZE):
+        algebra_from_generators([np.diag([float(k), k + 2.5])], 2)
+        assert len(algebras._memo) <= algebras._MEMO_SIZE
+    assert algebra_from_generators([np.diag([0.0, 1.0])], 2) is not first
+
+
+def test_memoized_algebra_equals_a_fresh_build_bitwise(rng):
+    x = random_observable("X", 4, rng)
+    y = random_observable("Y", 4, rng)
+    gens = [x.matrix, y.matrix]
+    cached = algebra_from_generators(gens, 4)
+    assert algebra_from_generators(gens, 4) is cached
+    fresh = algebras._build_algebra([g.copy() for g in gens], 4, DEFAULT_TOL)
+    for name in ("generators", "basis", "commutant_basis"):
+        ours, theirs = getattr(cached, name), getattr(fresh, name)
+        assert len(ours) == len(theirs)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs))
+
+
+# ---------------------------------------------------------------------------
+# batched product-closure check
+
+
+def _closed_by_pairs(basis, stack, tol, cap):
+    """The per-pair closure loop the batched check replaced, as an oracle."""
+    pairs = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
+    for i, j in pairs[:cap]:
+        v = (basis[i] @ basis[j]).reshape(-1)
+        residual = v - stack @ (dagger(stack) @ v)
+        if np.linalg.norm(residual) > tol.assert_tol * max(1.0, np.linalg.norm(v)):
+            return False
+    return True
+
+
+def _closed_batched(basis, stack, tol):
+    try:
+        algebras._check_product_closed(basis, stack, tol)
+    except QLogicError:
+        return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=2, max_value=5),
+       blocks=st.booleans(),
+       drop=st.integers(min_value=0, max_value=3),
+       cap=st.sampled_from([3, 7, 2048]))
+def test_batched_closure_check_matches_pair_loop(seed, dim, blocks, drop, cap):
+    rng = rng_from_seed(seed)
+    if blocks:
+        split = [dim // 2, dim - dim // 2]
+        gens = [x.matrix for x in random_block_observables(split, [True, False], 2, rng)]
+    else:
+        gens = [random_observable("X", dim, rng).matrix]
+    alg = algebra_from_generators(gens, dim)
+    # A random orthonormal change of basis, then drop some elements: kept
+    # whole the span is closed, cut down it usually is not.
+    n = alg.size
+    mix = haar_unitary(n, rng)
+    stack = algebras._stack(alg.basis) @ mix
+    stack = stack[:, :max(1, n - drop)]
+    basis = [stack[:, k].reshape(dim, dim) for k in range(stack.shape[1])]
+    saved = algebras._CLOSURE_CHECK_CAP
+    algebras._CLOSURE_CHECK_CAP = cap
+    try:
+        batched = _closed_batched(basis, stack, DEFAULT_TOL)
+    finally:
+        algebras._CLOSURE_CHECK_CAP = saved
+    assert batched == _closed_by_pairs(basis, stack, DEFAULT_TOL, cap)
+    if drop == 0:
+        assert batched
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(min_value=1, max_value=4))
+def test_closure_check_cap_and_order_match_pair_loop(data, dim):
+    # Matrix units multiply as E_ab E_cd = [b == c] E_ad, so a span of some
+    # of them fails closure exactly at the pairs whose product is left out;
+    # a shuffled subset and a small cap decide which pairs get checked.
+    units = [(a, b) for a in range(dim) for b in range(dim)]
+    chosen = data.draw(st.lists(st.sampled_from(units), min_size=1, unique=True))
+    cap = data.draw(st.integers(min_value=1, max_value=len(chosen) ** 2 + 1))
+    basis = []
+    for a, b in chosen:
+        unit = np.zeros((dim, dim), dtype=complex)
+        unit[a, b] = 1.0
+        basis.append(unit)
+    stack = algebras._stack(basis)
+    saved = algebras._CLOSURE_CHECK_CAP
+    algebras._CLOSURE_CHECK_CAP = cap
+    try:
+        batched = _closed_batched(basis, stack, DEFAULT_TOL)
+    finally:
+        algebras._CLOSURE_CHECK_CAP = saved
+    assert batched == _closed_by_pairs(basis, stack, DEFAULT_TOL, cap)
+
+
+def test_closure_check_rejects_a_span_not_closed_under_products():
+    # sigma_x sigma_z = -i sigma_y leaves span{1, sigma_x, sigma_z}.
+    basis = [np.eye(2, dtype=complex) / np.sqrt(2), SIGMA_X / np.sqrt(2), SIGMA_Z / np.sqrt(2)]
+    stack = algebras._stack(basis)
+    with pytest.raises(QLogicError, match="closed under products"):
+        algebras._check_product_closed(basis, stack, DEFAULT_TOL)
+    assert not _closed_by_pairs(basis, stack, DEFAULT_TOL, algebras._CLOSURE_CHECK_CAP)
+
+
+@pytest.mark.parametrize("cap, closed", [(7, True), (8, False), (2048, False)])
+def test_closure_check_stops_at_the_cap(cap, closed):
+    # Row-major pairs of (E00, E01, E10): the eighth, E10 E01 = E11, is the
+    # first product outside the span.
+    basis = []
+    for a, b in ((0, 0), (0, 1), (1, 0)):
+        unit = np.zeros((2, 2), dtype=complex)
+        unit[a, b] = 1.0
+        basis.append(unit)
+    stack = algebras._stack(basis)
+    saved = algebras._CLOSURE_CHECK_CAP
+    algebras._CLOSURE_CHECK_CAP = cap
+    try:
+        assert _closed_batched(basis, stack, DEFAULT_TOL) is closed
+    finally:
+        algebras._CLOSURE_CHECK_CAP = saved
+    assert _closed_by_pairs(basis, stack, DEFAULT_TOL, cap) is closed

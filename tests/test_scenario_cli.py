@@ -72,6 +72,20 @@ def test_scenario_complex_entry_errors(qubit_document):
         scenario_from_document(doc)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10 ** 400],
+                         ids=["nan", "inf", "-inf", "overflow"])
+def test_scenario_rejects_non_finite_entries(qubit_document, bad):
+    doc = json.loads(json.dumps(qubit_document))
+    doc["observables"]["Z"]["matrix"][1][1][0] = bad
+    with pytest.raises(ScenarioParseError, match=r"\$\.observables\.Z\.matrix\[1\]\[1\]\[0\]: "
+                                                 "expected a finite number"):
+        scenario_from_document(doc)
+    doc = json.loads(json.dumps(qubit_document))
+    doc["states"]["up"] = {"vector": [[1.0, 0.0], [0.0, bad]]}
+    with pytest.raises(ScenarioParseError, match=r"\$\.states\.up\.vector\[1\]\[1\]"):
+        scenario_from_document(doc)
+
+
 def test_scenario_state_errors(qubit_document):
     doc = dict(qubit_document)
     doc["states"] = {"bad": {"vector": vector_pairs([1.0, 0.0]), "matrix": pairs(np.eye(2))}}
@@ -206,6 +220,17 @@ def test_cli_input_errors(scenario_file, tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("[1,")
     assert run_cli(["eval", str(broken), "zpos"]).returncode == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_cli_non_finite_scenario_exits_2(qubit_document, tmp_path, bad):
+    qubit_document["observables"]["Z"]["matrix"][1][1][0] = bad
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(qubit_document))
+    result = run_cli(["prob", str(path), "zpos", "up"])
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "$.observables.Z.matrix[1][1][0]" in result.stderr
 
 
 def test_cli_argparse_exits(scenario_file):
