@@ -6,11 +6,11 @@ Generated algebras are double commutants; centers are span intersections;
 minimal central projections come from eigenspaces of a random Hermitian
 central element, verified and retried if the randomization lands degenerate.
 
-Builds are memoized by content: a generating family with the same dimension,
-tolerance ladder and generator entries returns the algebra already built,
-from a store that keeps the last few builds.  The build is deterministic,
-so a stored algebra is the one a fresh build would return.  Algebras are
-read-only (frozen, with read-only arrays) because callers share them.
+The last build is kept by content: a generating family with the same
+dimension, tolerance ladder and generator entries as the one just built
+returns that algebra.  The build is deterministic, so the kept algebra is
+the one a fresh build would return.  Algebras are read-only (frozen, with
+read-only arrays) because callers share them.
 """
 
 from __future__ import annotations
@@ -29,9 +29,11 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 # dim-16 algebra (256 basis elements) stays constructible.
 _CLOSURE_CHECK_CAP = 2048
 
-# Algebras kept by algebra_from_generators, oldest evicted first.
-_MEMO_SIZE = 8
-_memo: dict[tuple, MatrixAlgebra] = {}
+# The last algebra algebra_from_generators built, with its key.  The repeats
+# callers make come right after the build they repeat (determinateness_battery
+# builds one family in com_observables, cyclic_projector and its own body), so
+# one slot takes every hit a larger store would.
+_last: tuple[tuple, MatrixAlgebra] | None = None
 
 
 def _vec(m: np.ndarray) -> np.ndarray:
@@ -141,18 +143,15 @@ def algebra_from_generators(generators: Sequence[np.ndarray], dim: int,
 
     Checks: the identity is in the span, the span is closed under product and
     adjoint, and the double commutant of the result reproduces the commutant
-    (fixpoint).  A family already built at the same dimension and tolerance
-    returns the stored algebra (see the module docstring).
+    (fixpoint).  The family built last, at the same dimension and tolerance,
+    returns the kept algebra (see the module docstring).
     """
+    global _last
     gens = [require_square(g) for g in generators]
     key = (dim, tol, tuple((g.shape, g.tobytes()) for g in gens))
-    algebra = _memo.get(key)
-    if algebra is None:
-        algebra = _build_algebra([g.copy() for g in gens], dim, tol)
-        if len(_memo) >= _MEMO_SIZE:
-            del _memo[next(iter(_memo))]
-        _memo[key] = algebra
-    return algebra
+    if _last is None or _last[0] != key:
+        _last = (key, _build_algebra([g.copy() for g in gens], dim, tol))
+    return _last[1]
 
 
 def _build_algebra(gens: list[np.ndarray], dim: int, tol: ToleranceConfig) -> MatrixAlgebra:

@@ -180,11 +180,12 @@ def test_memoized_algebras_are_read_only():
         alg.dim = 3
 
 
-def test_memo_store_stays_bounded():
+def test_memo_keeps_only_the_last_family():
     first = algebra_from_generators([np.diag([0.0, 1.0])], 2)
-    for k in range(3 * algebras._MEMO_SIZE):
-        algebra_from_generators([np.diag([float(k), k + 2.5])], 2)
-        assert len(algebras._memo) <= algebras._MEMO_SIZE
+    assert algebra_from_generators([np.diag([0.0, 1.0])], 2) is first
+    other = algebra_from_generators([np.diag([2.0, 3.5])], 2)
+    assert algebras._last[1] is other
+    assert algebra_from_generators([np.diag([2.0, 3.5])], 2) is other
     assert algebra_from_generators([np.diag([0.0, 1.0])], 2) is not first
 
 
