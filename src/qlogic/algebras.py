@@ -21,7 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateRandomizationError, DimensionMismatchError, QLogicError
-from .linalg import commutator, dagger, opnorm, range_basis, require_square, solution_basis
+from .linalg import (
+    commutator,
+    dagger,
+    opnorm,
+    opnorms,
+    range_basis,
+    require_square,
+    solution_basis,
+)
 from .projectors import Projector
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -40,10 +48,33 @@ def _vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).reshape(-1)
 
 
-def _commutation_rows(g: np.ndarray, n: int) -> np.ndarray:
-    # Row-major vec: vec(G X) = (G (x) I) vec(X), vec(X G) = (I (x) G^T) vec(X).
-    eye = np.eye(n, dtype=complex)
-    return np.kron(g, eye) - np.kron(eye, g.T)
+def _commutation_system(mats: Sequence[np.ndarray], dim: int) -> np.ndarray:
+    """The stacked constraint rows of [X, G] = 0 and [X, G^dag] = 0 on vec(X).
+
+    Row-major vec: vec(G X) = (G (x) I) vec(X) and vec(X G) = (I (x) G^T)
+    vec(X).  Blocks come per generator, G then G^dag, each divided by the
+    generator's operator norm.  Per-generator normalization keeps the system
+    scale-free; a generator that is numerically a scalar would otherwise
+    contribute a pure-noise block whose own norm sets the rank cutoff.  Zero
+    generators contribute no rows.  The blocks are written into one array by
+    broadcasting the same complex products np.kron forms, so the system is
+    bit for bit the stack of per-generator kron blocks.
+    """
+    cube = np.asarray(mats, dtype=complex).reshape(len(mats), dim, dim)
+    scales = opnorms(cube)
+    keep = scales != 0.0
+    cube, scales = cube[keep], scales[keep]
+    pairs = np.stack([cube, np.conj(cube).swapaxes(-1, -2)], axis=1)
+    eye = np.eye(dim, dtype=complex)
+    # Axes (generator, G or G^dag, a, b, c, e) for row (a, b), column (c, e).
+    system = np.empty((len(cube), 2, dim, dim, dim, dim), dtype=complex)
+    np.multiply(pairs[:, :, :, None, :, None], eye[:, None, :], out=system)
+    transposed = pairs.swapaxes(-1, -2)[:, :, :, None, :]
+    # One row block a at a time keeps the temporary at 1/dim of the system.
+    for a in range(dim):
+        system[:, :, a] -= eye[a][:, None] * transposed
+    system /= scales[:, None, None, None, None, None]
+    return system.reshape(-1, dim * dim)
 
 
 def commutant(generators: Sequence[np.ndarray], dim: int,
@@ -58,17 +89,7 @@ def commutant(generators: Sequence[np.ndarray], dim: int,
     for g in mats:
         if g.shape[0] != dim:
             raise DimensionMismatchError(f"generator of dimension {g.shape[0]}, expected {dim}")
-    rows = []
-    for g in mats:
-        # Per-generator normalization keeps the system scale-free; a generator
-        # that is numerically a scalar would otherwise contribute a pure-noise
-        # block whose own norm sets the rank cutoff.
-        scale = opnorm(g)
-        if scale == 0.0:
-            continue
-        rows.append(_commutation_rows(g, dim) / scale)
-        rows.append(_commutation_rows(dagger(g), dim) / scale)
-    system = np.vstack(rows) if rows else np.zeros((0, dim * dim), dtype=complex)
+    system = _commutation_system(mats, dim)
     basis_vectors = solution_basis(system, dim * dim, tol, scale_floor=1.0)
     basis = [basis_vectors[:, k].reshape(dim, dim) for k in range(basis_vectors.shape[1])]
     if not _span_contains(basis_vectors, _vec(np.eye(dim, dtype=complex))[:, None], tol):
@@ -78,8 +99,7 @@ def commutant(generators: Sequence[np.ndarray], dim: int,
 
 def _stack(basis: Sequence[np.ndarray]) -> np.ndarray:
     if not basis:
-        n2 = 0
-        return np.zeros((n2, 0), dtype=complex)
+        return np.zeros((0, 0), dtype=complex)
     return np.column_stack([_vec(b) for b in basis])
 
 
@@ -195,8 +215,8 @@ def contains(algebra: MatrixAlgebra, matrix, tol: ToleranceConfig | None = None)
     if m.shape[0] != algebra.dim:
         raise DimensionMismatchError(f"matrix of dimension {m.shape[0]}, expected {algebra.dim}")
     scale = max(1.0, opnorm(m))
-    return all(opnorm(commutator(m, b)) <= t.assert_tol * scale
-               for b in algebra.commutant_basis)
+    residuals = opnorms(commutator(m, np.stack(algebra.commutant_basis)))
+    return bool(np.all(residuals <= t.assert_tol * scale))
 
 
 def center(algebra: MatrixAlgebra, tol: ToleranceConfig | None = None) -> list[np.ndarray]:
@@ -269,12 +289,13 @@ def _verify_minimal_central(candidates: list[Projector], algebra: MatrixAlgebra,
     total = sum(p.matrix for p in candidates)
     if opnorm(total - np.eye(algebra.dim)) > t.assert_tol:
         return False, "candidates do not sum to the identity"
+    basis = np.stack(algebra.basis)
+    limits = t.assert_tol * np.maximum(1.0, opnorms(basis))
     for p in candidates:
         if not contains(algebra, p.matrix, t):
             return False, "candidate not in the algebra"
-        for b in algebra.basis:
-            if opnorm(commutator(p.matrix, b)) > t.assert_tol * max(1.0, opnorm(b)):
-                return False, "candidate not central"
+        if np.any(opnorms(commutator(p.matrix, basis)) > limits):
+            return False, "candidate not central"
         # Minimality: the center compresses to scalars on the range.
         r = max(p.rank, 1)
         for z in zbasis:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebras import MatrixAlgebra, algebra_from_generators, minimal_central_projections
 from .errors import CrossCheckFailure, FamilyTooLargeError
-from .linalg import commutator, opnorm
+from .linalg import commutator, max_pair_commutator_norm, opnorm, opnorms
 from .observables import Observable
 from .projectors import (
     Projector,
@@ -79,9 +79,11 @@ def com_kernel(family: Sequence[Projector], tol: ToleranceConfig = DEFAULT_TOL) 
     if not members:
         raise FamilyTooLargeError("commutator of an empty family is not defined here")
     dim = members[0].dim
-    pairs = [commutator(p1.matrix, p2.matrix)
-             for i, p1 in enumerate(members) for p2 in members[i + 1:]]
-    blocks = [c @ p3.matrix for c in pairs for p3 in members]
+    cube = np.stack([p.matrix for p in members])
+    # Row i stacks [P_i, P_j] P_k over j > i, then k: the pair-major order of
+    # the constraint blocks.
+    blocks = [(commutator(cube[i], cube[i + 1:])[:, None] @ cube).reshape(-1, dim)
+              for i in range(len(cube) - 1)]
     return common_null_space_projector(blocks, dim, tol, scale_floor=1.0)
 
 
@@ -105,8 +107,9 @@ def com_observables(observables: Sequence[Observable],
     if cross_check:
         dim = xs[0].dim
         alg = algebra_from_generators([x.matrix for x in xs], dim, tol)
-        blocks = [commutator(b1, b2)
-                  for i, b1 in enumerate(alg.basis) for b2 in alg.basis[i + 1:]]
+        basis = np.stack(alg.basis)
+        blocks = [commutator(basis[i], basis[i + 1:]).reshape(-1, dim)
+                  for i in range(len(basis) - 1)]
         algebra_route = common_null_space_projector(blocks, dim, tol, scale_floor=1.0)
         gap = opnorm(spectral_route.matrix - algebra_route.matrix)
         if gap > tol.assert_tol:
@@ -140,9 +143,9 @@ def verify_subcommutator(family: Sequence[Projector], algebra: MatrixAlgebra,
     """
     members = list(family)
     e = com_family(members, tol)
-    scale = max(1.0, max((opnorm(b) for b in algebra.basis), default=1.0))
-    central = all(opnorm(commutator(e.matrix, b)) <= tol.assert_tol * scale
-                  for b in algebra.basis)
+    basis = np.stack(algebra.basis)
+    scale = max(1.0, float(np.max(opnorms(basis))))
+    central = bool(np.all(opnorms(commutator(e.matrix, basis)) <= tol.assert_tol * scale))
     from .algebras import contains as algebra_contains
     central = central and algebra_contains(algebra, e.matrix, tol)
     compressions_commute = _compressed_family_commutes(members, e, tol)
@@ -161,11 +164,7 @@ def verify_subcommutator(family: Sequence[Projector], algebra: MatrixAlgebra,
 def _compressed_family_commutes(members: Sequence[Projector], central: Projector,
                                 tol: ToleranceConfig) -> bool:
     compressed = [p.matrix @ central.matrix for p in members]
-    for i in range(len(compressed)):
-        for j in range(i + 1, len(compressed)):
-            if opnorm(commutator(compressed[i], compressed[j])) > tol.assert_tol:
-                return False
-    return True
+    return max_pair_commutator_norm(compressed) <= tol.assert_tol
 
 
 @dataclass
@@ -194,10 +193,7 @@ def boolean_factorization_check(family: Sequence[Projector], algebra: MatrixAlge
     """
     members = list(family)
     c = com_family(members, tol)
-    worst = 0.0
-    for i in range(len(algebra.basis)):
-        for j in range(i + 1, len(algebra.basis)):
-            worst = max(worst, opnorm(commutator(algebra.basis[i], algebra.basis[j]) @ c.matrix))
+    worst = max_pair_commutator_norm(algebra.basis, c.matrix)
     abelian_below = worst <= tol.assert_tol
     c_perp = ortho(c, tol)
     blocks: list[int] = []
@@ -206,10 +202,7 @@ def boolean_factorization_check(family: Sequence[Projector], algebra: MatrixAlge
     for e in minimal_central_projections(algebra, tol):
         if not leq(e, c_perp, tol):
             continue
-        peak = 0.0
-        for i in range(len(algebra.basis)):
-            for j in range(i + 1, len(algebra.basis)):
-                peak = max(peak, opnorm(commutator(algebra.basis[i], algebra.basis[j]) @ e.matrix))
+        peak = max_pair_commutator_norm(algebra.basis, e.matrix)
         blocks.append(e.rank)
         norms.append(peak)
         flags.append(peak > tol.assert_tol)

@@ -24,7 +24,16 @@ from .errors import (
     NotCommutingError,
     QLogicError,
 )
-from .linalg import commutator, dagger, hermitian_eig, kron, opnorm, require_square
+from .linalg import (
+    commutator,
+    dagger,
+    hermitian_eig,
+    kron,
+    max_pair_commutator_norm,
+    opnorm,
+    opnorms,
+    require_square,
+)
 from .observables import Observable
 from .projectors import (
     Projector,
@@ -275,10 +284,7 @@ def determinateness_battery(observables: Sequence[Observable], state: DensitySta
     clauses["cyclic_dominated"] = domination <= t.assert_tol
     residuals["cyclic_dominated"] = domination
 
-    worst = 0.0
-    for i in range(len(alg.basis)):
-        for j in range(i + 1, len(alg.basis)):
-            worst = max(worst, opnorm(commutator(alg.basis[i], alg.basis[j]) @ state.matrix))
+    worst = max_pair_commutator_norm(alg.basis, state.matrix)
     clauses["algebra_kills_state"] = worst <= t.assert_tol
     residuals["algebra_kills_state"] = worst
 
@@ -461,17 +467,13 @@ def equality_battery(x: Observable, y: Observable, state: DensityState,
     clauses["operators_agree_on_cyclic"] = gap <= t.assert_tol
     residuals["operators_agree_on_cyclic"] = gap
 
-    worst = 0.0
-    for v in merged:
-        d = x.eigenprojector_at(v).matrix - y.eigenprojector_at(v).matrix
-        worst = max(worst, opnorm(cyclic_x.matrix @ d @ cyclic_x.matrix))
+    differences = np.stack([x.eigenprojector_at(v).matrix - y.eigenprojector_at(v).matrix
+                            for v in merged])
+    worst = max(0.0, float(np.max(opnorms(cyclic_x.matrix @ differences @ cyclic_x.matrix))))
     clauses["expectations_agree_on_cyclic"] = worst <= t.assert_tol
     residuals["expectations_agree_on_cyclic"] = worst
 
-    worst = 0.0
-    for v in merged:
-        d = x.eigenprojector_at(v).matrix - y.eigenprojector_at(v).matrix
-        worst = max(worst, opnorm(d @ state.matrix))
+    worst = max(0.0, float(np.max(opnorms(differences @ state.matrix))))
     clauses["spectral_action_on_state"] = worst <= t.assert_tol
     residuals["spectral_action_on_state"] = worst
 

@@ -19,8 +19,14 @@ from qlogic.algebras import (
     span_equal,
 )
 from qlogic.errors import DimensionMismatchError, QLogicError
-from qlogic.linalg import dagger, opnorm
-from qlogic.sampling import haar_unitary, random_block_observables, random_observable, rng_from_seed
+from qlogic.linalg import commutator, dagger, max_pair_commutator_norm, opnorm
+from qlogic.sampling import (
+    haar_unitary,
+    random_block_observables,
+    random_density,
+    random_observable,
+    rng_from_seed,
+)
 from qlogic.tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -307,3 +313,92 @@ def test_closure_check_stops_at_the_cap(cap, closed):
     finally:
         algebras._CLOSURE_CHECK_CAP = saved
     assert _closed_by_pairs(basis, stack, DEFAULT_TOL, cap) is closed
+
+
+# ---------------------------------------------------------------------------
+# batched commutant system and pairwise commutator norms
+
+
+def _commutation_rows(g, n):
+    """One generator's constraint block by np.kron, the reference for the
+    batched system.  Row-major vec: vec(G X) = (G (x) I) vec(X), vec(X G) = (I (x) G^T) vec(X)."""
+    eye = np.eye(n, dtype=complex)
+    return np.kron(g, eye) - np.kron(eye, g.T)
+
+
+def _system_by_kron(mats, dim):
+    rows = []
+    for g in mats:
+        scale = opnorm(g)
+        if scale == 0.0:
+            continue
+        rows.append(_commutation_rows(g, dim) / scale)
+        rows.append(_commutation_rows(dagger(g), dim) / scale)
+    return np.vstack(rows) if rows else np.zeros((0, dim * dim), dtype=complex)
+
+
+def _generator(kind, dim, rng):
+    if kind == "zero":
+        return np.zeros((dim, dim), dtype=complex)
+    if kind == "scalar":
+        return complex(rng.normal(), rng.normal()) * np.eye(dim)
+    if kind == "noisy-identity":
+        return np.eye(dim) + 1e-15 * rng.normal(size=(dim, dim))
+    if kind == "integer-diagonal":
+        return np.diag(rng.integers(-2, 3, size=dim)).astype(complex)
+    if kind == "hermitian":
+        return random_observable("H", dim, rng).matrix
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+_GENERATOR_KINDS = ["zero", "scalar", "noisy-identity", "integer-diagonal", "hermitian",
+                    "non-hermitian"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=1, max_value=5),
+       kinds=st.lists(st.sampled_from(_GENERATOR_KINDS), max_size=4))
+def test_batched_commutation_system_matches_kron_stack(seed, dim, kinds):
+    rng = rng_from_seed(seed)
+    # commutant hands the system complex generators (require_square).
+    mats = [np.asarray(_generator(kind, dim, rng), dtype=complex) for kind in kinds]
+    batched = algebras._commutation_system(mats, dim)
+    looped = _system_by_kron(mats, dim)
+    assert np.array_equal(batched, looped)
+    # Bit for bit, signed zeros included: the blocks are the same products.
+    assert batched.shape == looped.shape and batched.tobytes() == looped.tobytes()
+
+
+def test_commutant_rejects_a_generator_of_another_size():
+    with pytest.raises(DimensionMismatchError):
+        commutant([SIGMA_X, np.eye(3)], 2)
+
+
+def _max_pair_by_loop(matrices, right):
+    worst = 0.0
+    for i in range(len(matrices)):
+        for j in range(i + 1, len(matrices)):
+            c = commutator(matrices[i], matrices[j])
+            worst = max(worst, opnorm(c if right is None else c @ right))
+    return worst
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=2, max_value=5),
+       blocks=st.booleans(),
+       keep=st.sampled_from([0, 1, 2, None]),
+       with_right=st.booleans())
+def test_max_pair_commutator_norm_matches_pair_loop(seed, dim, blocks, keep, with_right):
+    rng = rng_from_seed(seed)
+    if blocks:
+        split = [dim // 2, dim - dim // 2]
+        gens = [x.matrix for x in random_block_observables(split, [False, True], 2, rng)]
+    else:
+        gens = [random_observable("X", dim, rng).matrix, random_observable("Y", dim, rng).matrix]
+    basis = algebra_from_generators(gens, dim).basis[:keep]
+    right = random_density(dim, rng).matrix if with_right else None
+    assert max_pair_commutator_norm(basis, right) == _max_pair_by_loop(basis, right)
+    if len(basis) < 2:
+        assert max_pair_commutator_norm(basis, right) == 0.0

@@ -15,6 +15,7 @@ from qlogic.linalg import (
     kron,
     matrices_commute,
     opnorm,
+    opnorms,
     partial_trace_second,
     range_basis,
     require_square,
@@ -38,6 +39,17 @@ def test_dagger_and_opnorm():
     assert np.allclose(dagger(m), m.conj().T)
     assert opnorm(SIGMA_X) == pytest.approx(1.0)
     assert opnorm(3.0 * SIGMA_Z) == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3, 3), (4, 0, 0), (3, 0, 2), (1, 1, 1),
+                                   (5, 3, 3), (6, 4, 2), (7, 7, 7)])
+def test_opnorms_equals_opnorm_of_each_matrix_exactly(shape, rng):
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if len(shape) == 3 and shape[0] > 1:
+        stack[0] = 0.0
+    norms = opnorms(stack)
+    assert norms.shape == (shape[0],)
+    assert norms.tolist() == [opnorm(m) for m in stack]
 
 
 def test_commutator_and_matrices_commute():
