@@ -469,11 +469,11 @@ def equality_battery(x: Observable, y: Observable, state: DensityState,
 
     differences = np.stack([x.eigenprojector_at(v).matrix - y.eigenprojector_at(v).matrix
                             for v in merged])
-    worst = max(0.0, float(np.max(opnorms(cyclic_x.matrix @ differences @ cyclic_x.matrix))))
+    worst = float(np.max(opnorms(cyclic_x.matrix @ differences @ cyclic_x.matrix)))
     clauses["expectations_agree_on_cyclic"] = worst <= t.assert_tol
     residuals["expectations_agree_on_cyclic"] = worst
 
-    worst = max(0.0, float(np.max(opnorms(differences @ state.matrix))))
+    worst = float(np.max(opnorms(differences @ state.matrix)))
     clauses["spectral_action_on_state"] = worst <= t.assert_tol
     residuals["spectral_action_on_state"] = worst
 
