@@ -19,6 +19,10 @@ class NotUnitaryError(QLogicError):
     """Unitarity violated beyond the assertion tolerance."""
 
 
+class NonFiniteError(QLogicError):
+    """A matrix holds a non-finite number, or its norm or symmetrization overflows."""
+
+
 class DimensionMismatchError(QLogicError):
     """Operands live on different spaces."""
 

@@ -6,14 +6,22 @@ no sparsity, dimensions stay at desk scale.  The operator norm is taken here
 too: ``opnorm`` for one matrix, ``opnorms`` for a stack in one batched SVD
 call, and ``max_pair_commutator_norm`` for the largest [M_i, M_j] R over the
 pairs of a family, formed one stacked row of pairs at a time.  The batched
-forms give each matrix the bits ``opnorm`` gives it.
+forms give each matrix the bits ``opnorm`` gives it.  Likewise
+``solution_bases`` solves a stack of equal-shape homogeneous systems in one
+batched SVD call and gives each system the bits ``solution_basis`` gives it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonSquareError, NotHermitianError, QLogicError
+from .errors import (
+    DimensionMismatchError,
+    NonFiniteError,
+    NonSquareError,
+    NotHermitianError,
+    QLogicError,
+)
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -85,13 +93,22 @@ def hermitian_eig(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarra
 
     Returns eigenvalues ascending and orthonormal eigenvector columns.  The
     input is symmetrized as (M + M^dag)/2 before factoring; inputs further
-    than assert_tol * ||M|| from Hermitian are rejected.
+    than assert_tol * ||M|| from Hermitian are rejected, and so are inputs
+    whose entries, norm or symmetrization are not finite.
     """
     m = require_square(matrix)
-    scale = max(1.0, opnorm(m))
-    if opnorm(m - dagger(m)) > tol.assert_tol * scale:
-        raise NotHermitianError(f"matrix is {opnorm(m - dagger(m)):.3e} from Hermitian")
-    sym = (m + dagger(m)) / 2.0
+    if not np.isfinite(m).all():
+        raise NonFiniteError("matrix has non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = max(1.0, opnorm(m))
+        skew = m - dagger(m)
+        sym = (m + dagger(m)) / 2.0
+    if not (np.isfinite(scale) and np.isfinite(skew).all() and np.isfinite(sym).all()):
+        raise NonFiniteError(f"matrix entries of size {np.max(np.abs(m)):.3e} overflow"
+                             " its norm or symmetrization")
+    skew_norm = opnorm(skew)
+    if skew_norm > tol.assert_tol * scale:
+        raise NotHermitianError(f"matrix is {skew_norm:.3e} from Hermitian")
     eigenvalues, eigenvectors = np.linalg.eigh(sym)
     n = m.shape[0]
     residual = opnorm(sym - eigenvectors @ np.diag(eigenvalues) @ dagger(eigenvectors))
@@ -150,6 +167,32 @@ def solution_basis(system, unknowns: int, tol: ToleranceConfig = DEFAULT_TOL,
     cutoff = singular_cutoff(s, unknowns, tol, scale_floor)
     rank = int(np.count_nonzero(s > cutoff))
     return dagger(vh)[:, rank:]
+
+
+def solution_bases(systems, unknowns: int, tol: ToleranceConfig = DEFAULT_TOL,
+                    scale_floor: float = 0.0) -> list[np.ndarray]:
+    """``solution_basis`` of each system in a stack of equal-shape systems.
+
+    The stack is factored in one batched SVD call, and each system gets the
+    bits ``solution_basis`` gives it: the same padding, factorization and
+    ``singular_cutoff``.
+    """
+    a = np.asarray(systems, dtype=complex)
+    if a.ndim != 3 or a.shape[2] != unknowns:
+        raise DimensionMismatchError(f"system stack shape {a.shape} does not match "
+                                     f"{unknowns} unknowns")
+    if a.shape[1] == 0:
+        return [np.eye(unknowns, dtype=complex) for _ in range(len(a))]
+    if a.shape[1] < unknowns:
+        padding = np.zeros((len(a), unknowns - a.shape[1], unknowns), dtype=complex)
+        a = np.concatenate([a, padding], axis=1)
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    bases = []
+    for values, right in zip(s, vh):
+        cutoff = singular_cutoff(values, unknowns, tol, scale_floor)
+        rank = int(np.count_nonzero(values > cutoff))
+        bases.append(dagger(right)[:, rank:])
+    return bases
 
 
 def range_basis(columns, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -14,7 +14,15 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import dagger, kernel_basis, opnorm, range_basis, require_square, solution_basis
+from .linalg import (
+    dagger,
+    kernel_basis,
+    opnorm,
+    range_basis,
+    require_square,
+    solution_bases,
+    solution_basis,
+)
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -166,6 +174,28 @@ def meet_all(projectors: Sequence[Projector], dim: int | None = None,
     eye = np.eye(d, dtype=complex)
     return common_null_space_projector([eye - p.matrix for p in projectors], d, tol,
                                        scale_floor=1.0)
+
+
+def meet_each(families: Sequence[Sequence[Projector]], dim: int,
+              tol: ToleranceConfig = DEFAULT_TOL) -> list[Projector]:
+    """``meet_all`` of each family in a list of families of one size.
+
+    The families' kernel systems are stacked and factored in one batched
+    call; each meet has the bits ``meet_all`` gives it.
+    """
+    families = [list(family) for family in families]
+    sizes = {len(family) for family in families}
+    if len(sizes) > 1:
+        raise DimensionMismatchError("batched meets need families of one size")
+    dims = {p.dim for family in families for p in family}
+    if dims - {dim}:
+        raise DimensionMismatchError(f"projectors on dims {sorted(dims)}, expected {dim}")
+    eye = np.eye(dim, dtype=complex)
+    rows = sizes.pop() * dim if sizes else 0
+    systems = np.array([[eye - p.matrix for p in family] for family in families],
+                       dtype=complex).reshape(len(families), rows, dim)
+    return [Projector(basis, dim=dim, tol=tol)
+            for basis in solution_bases(systems, dim, tol, scale_floor=1.0)]
 
 
 def ortho(p: Projector, tol: ToleranceConfig | None = None) -> Projector:

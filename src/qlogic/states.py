@@ -42,6 +42,7 @@ from .projectors import (
     leq,
     meet,
     meet_all,
+    meet_each,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -202,15 +203,21 @@ def cyclic_projector(observables: Sequence[Observable], state: DensityState,
     """Projector onto the orbit of the state's support under the generated algebra.
 
     This is the smallest projection commuting with the family that leaves the
-    state invariant; both properties are asserted before returning.
+    state invariant; both properties are asserted before returning.  One
+    observable generates the span of its eigenprojectors E_i, so its orbit is
+    spanned by the vectors E_i psi and no algebra is built; larger families
+    span the generated algebra's basis applied to the support.
     """
     t = tol or state.tol
     xs = list(observables)
     dim = state.dim
-    alg = algebra_from_generators([x.matrix for x in xs], dim, t)
-    columns = []
-    for b in alg.basis:
-        columns.append(b @ state.support.basis)
+    if len(xs) == 1:
+        if xs[0].dim != dim:
+            raise DimensionMismatchError(f"{xs[0].name} and the state live on different spaces")
+        columns = [e.matrix @ state.support.basis for e in xs[0].eigenprojectors]
+    else:
+        alg = algebra_from_generators([x.matrix for x in xs], dim, t)
+        columns = [b @ state.support.basis for b in alg.basis]
     stacked = np.hstack(columns) if columns else state.support.basis
     projector = column_space_projector(stacked, dim=dim, tol=t)
     for x in xs:
@@ -315,43 +322,34 @@ def determinateness_battery(observables: Sequence[Observable], state: DensitySta
 
 def _grid_measure(xs: list[Observable], state: DensityState,
                   t: ToleranceConfig) -> tuple[dict[tuple[float, ...], float], float, bool]:
-    """Spectral-atom product masses plus their worst additivity violation."""
-    dim = state.dim
+    """Spectral-atom product masses plus their worst additivity violation.
+
+    Summing one axis out of the grid must give the mass of the meet over the
+    remaining atoms.  The meets of each grid (the full one, then one per
+    summed-out axis) are factored together by ``meet_each``.
+    """
     atom_projectors = [[x.eigenprojector_at(v) for v in x.spectrum] for x in xs]
-    grids = [range(len(x.spectrum)) for x in xs]
-    masses: dict[tuple[float, ...], float] = {}
-    worst = 0.0
-    for combo in itertools.product(*grids):
-        parts = [atom_projectors[j][k] for j, k in enumerate(combo)]
-        p = meet_all(parts, dim=dim, tol=t)
-        value = float(np.real(np.trace(p.matrix @ state.matrix)))
-        masses[tuple(xs[j].spectrum[k] for j, k in enumerate(combo))] = value
-        worst = max(worst, max(0.0, -value))
-    total = float(sum(masses.values()))
-    worst = max(worst, abs(total - 1.0))
-    # Additivity along each axis: summing an axis out must match the measure
-    # of the meet over the remaining atoms.
+    shape = tuple(len(x.spectrum) for x in xs)
+
+    def grid_masses(axes: list[int]) -> np.ndarray:
+        families = [[atom_projectors[j][k] for j, k in zip(axes, combo)]
+                    for combo in itertools.product(*(range(shape[j]) for j in axes))]
+        return np.array([float(np.real(np.trace(p.matrix @ state.matrix)))
+                         for p in meet_each(families, state.dim, t)])
+
+    grid = grid_masses(list(range(len(xs))))
+    masses = {tuple(x.spectrum[k] for x, k in zip(xs, combo)): float(value)
+              for combo, value in zip(itertools.product(*map(range, shape)), grid)}
+    worst = max(0.0, -float(np.min(grid)), abs(float(sum(masses.values())) - 1.0))
+    grid = grid.reshape(shape)
     for j in range(len(xs)):
-        other_grids = [range(len(x.spectrum)) for i, x in enumerate(xs) if i != j]
-        for rest in itertools.product(*other_grids):
-            parts = []
-            rest_iter = iter(rest)
-            summed = 0.0
-            for i, x in enumerate(xs):
-                if i != j:
-                    parts.append(atom_projectors[i][next(rest_iter)])
-            direct = meet_all(parts, dim=dim, tol=t)
-            direct_mass = float(np.real(np.trace(direct.matrix @ state.matrix)))
-            for k in range(len(xs[j].spectrum)):
-                combo_values = []
-                rest_iter2 = iter(rest)
-                for i, x in enumerate(xs):
-                    if i == j:
-                        combo_values.append(x.spectrum[k])
-                    else:
-                        combo_values.append(x.spectrum[next(rest_iter2)])
-                summed += masses[tuple(combo_values)]
-            worst = max(worst, abs(summed - direct_mass))
+        # Added one atom at a time, in spectral order, not by np.sum: its
+        # pairwise order would move the residual's last bits.
+        summed = np.zeros(shape[:j] + shape[j + 1:])
+        for k in range(shape[j]):
+            summed = summed + np.take(grid, k, axis=j)
+        direct = grid_masses([i for i in range(len(xs)) if i != j])
+        worst = max(worst, float(np.max(np.abs(summed.ravel() - direct))))
     return masses, worst, worst <= t.assert_tol
 
 

@@ -1,11 +1,18 @@
 """Matrix utilities: decompositions, kernels, tensor bookkeeping."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
 from qlogic import DEFAULT_TOL
-from qlogic.errors import DimensionMismatchError, NonSquareError, NotHermitianError
+from qlogic.errors import (
+    DimensionMismatchError,
+    NonFiniteError,
+    NonSquareError,
+    NotHermitianError,
+)
 from qlogic.linalg import (
     as_matrix,
     commutator,
@@ -20,6 +27,7 @@ from qlogic.linalg import (
     range_basis,
     require_square,
     singular_cutoff,
+    solution_bases,
     solution_basis,
 )
 from qlogic.sampling import haar_unitary, rng_from_seed
@@ -123,6 +131,46 @@ def test_solution_basis_empty_system():
 def test_solution_basis_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         solution_basis(np.zeros((2, 3)), 4)
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 3), (3, 0, 3), (2, 1, 1), (4, 1, 3), (5, 3, 3),
+                                   (3, 8, 3), (2, 12, 4)])
+@pytest.mark.parametrize("scale_floor", [0.0, 1.0])
+def test_solution_bases_gives_each_system_the_bits_of_solution_basis(shape, scale_floor, rng):
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    n = shape[2]
+    if shape[0] >= 2 and shape[1] > 0:
+        # A zero system, and one with a known null direction.
+        stack[0] = 0.0
+        v = np.ones(n) / np.sqrt(n)
+        stack[1] = stack[1] - (stack[1] @ v)[:, None] * v[None, :]
+    bases = solution_bases(stack, n, DEFAULT_TOL, scale_floor)
+    assert len(bases) == shape[0]
+    for system, basis in zip(stack, bases):
+        expected = solution_basis(system, n, DEFAULT_TOL, scale_floor)
+        assert basis.shape == expected.shape
+        assert np.array_equal(basis, expected)
+
+
+def test_solution_bases_shape_checks():
+    with pytest.raises(DimensionMismatchError):
+        solution_bases(np.zeros((2, 2, 3)), 4)
+    with pytest.raises(DimensionMismatchError):
+        solution_bases(np.zeros((2, 3)), 3)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[np.nan]],
+    [[1.0, np.inf], [np.inf, 1.0]],
+    [[1e308]],
+    [[0.0, 1e308], [-1e308, 0.0]],
+    np.full((3, 3), 6e307),
+], ids=["nan", "inf", "symmetrization-overflow", "skew-overflow", "norm-overflow"])
+def test_hermitian_eig_rejects_non_finite_input_and_overflow(matrix):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            hermitian_eig(np.asarray(matrix, dtype=complex))
 
 
 def test_range_basis():

@@ -233,6 +233,20 @@ def test_cli_non_finite_scenario_exits_2(qubit_document, tmp_path, bad):
     assert "$.observables.Z.matrix[1][1][0]" in result.stderr
 
 
+@pytest.mark.parametrize("entries", [{(0, 0): 1e308}, {(0, 1): 1e308, (1, 0): -1e308}],
+                         ids=["diagonal", "skew"])
+def test_cli_overflowing_observable_exits_2(qubit_document, tmp_path, entries):
+    for (i, j), value in entries.items():
+        qubit_document["observables"]["Z"]["matrix"][i][j][0] = value
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(qubit_document))
+    result = run_cli(["prob", str(path), "zpos", "up"])
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: Z: ")
+    assert "overflow" in result.stderr
+
+
 def test_cli_argparse_exits(scenario_file):
     assert run_cli(["--help"]).returncode == 0
     assert run_cli(["eval"]).returncode == 2

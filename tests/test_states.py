@@ -1,18 +1,33 @@
 """States, Born probabilities, determinateness, and quantum equality."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SIGMA_X, SIGMA_Z
+from qlogic import states
+from qlogic.algebras import algebra_from_generators
 from qlogic.errors import (
     DimensionMismatchError,
     NotCommutingError,
     QLogicError,
 )
+from qlogic.linalg import opnorm
 from qlogic.observables import embed_first, embed_second, spectral_decompose
-from qlogic.projectors import Projector
+from qlogic.projectors import Projector, meet_all
 from qlogic.propositions import ObservableRegistry, parse
-from qlogic.sampling import random_commuting_observables
+from qlogic.sampling import (
+    random_commuting_observables,
+    random_density,
+    random_determinate_family,
+    random_observable,
+    random_vector_state,
+    rng_from_seed,
+    state_supported_in,
+)
 from qlogic.states import (
     DensityState,
     JointDistribution,
@@ -29,6 +44,7 @@ from qlogic.states import (
     projector_probability,
     simultaneously_determinate,
 )
+from qlogic.tolerances import DEFAULT_TOL
 
 
 def diag_obs(name, *values):
@@ -173,6 +189,44 @@ def test_cyclic_projector_grows_with_mixing(pauli_x):
     assert p.rank == 2
 
 
+def _cyclic_by_algebra(x, state):
+    """The algebra route: span of b psi over a basis b of the generated algebra."""
+    alg = algebra_from_generators([x.matrix], state.dim)
+    return Projector.from_basis(np.hstack([b @ state.support.basis for b in alg.basis]),
+                                dim=state.dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=1, max_value=6),
+       values=st.integers(min_value=1, max_value=6),
+       kind=st.sampled_from(["vector", "mixed", "full", "eigenspace"]))
+def test_one_observable_cyclic_projector_matches_algebra_route(seed, dim, values, kind):
+    rng = rng_from_seed(seed)
+    # Fewer distinct values than the dimension gives repeated eigenvalues.
+    x = random_observable("X", dim, rng, n_values=min(values, dim))
+    if kind == "vector":
+        state = random_vector_state(dim, rng)
+    elif kind == "mixed":
+        state = random_density(dim, rng)
+    elif kind == "full":
+        state = random_density(dim, rng, rank=dim)
+    else:
+        eigenspace = x.eigenprojectors[int(rng.integers(len(x.eigenprojectors)))]
+        state = state_supported_in(eigenspace, rng)
+    direct = cyclic_projector([x], state)
+    oracle = _cyclic_by_algebra(x, state)
+    assert direct.rank == oracle.rank
+    assert opnorm(direct.matrix - oracle.matrix) <= DEFAULT_TOL.assert_tol
+    if kind == "eigenspace":
+        assert direct.rank == state.rank
+
+
+def test_one_observable_cyclic_projector_requires_matching_dims(pauli_z):
+    with pytest.raises(DimensionMismatchError):
+        cyclic_projector([pauli_z], DensityState.maximally_mixed(3))
+
+
 # ---------------------------------------------------------------------------
 # determinateness
 
@@ -241,6 +295,68 @@ def test_determinateness_joint_distribution_matches_born(rng):
         direct = np.trace(x.eigenprojector_at(a).matrix @ y.eigenprojector_at(b).matrix
                           @ rho.matrix)
         assert mass == pytest.approx(direct.real, abs=1e-10)
+
+
+def _grid_measure_by_meet_all(xs, state, t):
+    """The per-combination loop that ``_grid_measure`` batches, kept as its oracle."""
+    dim = state.dim
+    atom_projectors = [[x.eigenprojector_at(v) for v in x.spectrum] for x in xs]
+    grids = [range(len(x.spectrum)) for x in xs]
+    masses = {}
+    worst = 0.0
+    for combo in itertools.product(*grids):
+        parts = [atom_projectors[j][k] for j, k in enumerate(combo)]
+        p = meet_all(parts, dim=dim, tol=t)
+        value = float(np.real(np.trace(p.matrix @ state.matrix)))
+        masses[tuple(xs[j].spectrum[k] for j, k in enumerate(combo))] = value
+        worst = max(worst, max(0.0, -value))
+    total = float(sum(masses.values()))
+    worst = max(worst, abs(total - 1.0))
+    for j in range(len(xs)):
+        other_grids = [range(len(x.spectrum)) for i, x in enumerate(xs) if i != j]
+        for rest in itertools.product(*other_grids):
+            parts = []
+            rest_iter = iter(rest)
+            summed = 0.0
+            for i, x in enumerate(xs):
+                if i != j:
+                    parts.append(atom_projectors[i][next(rest_iter)])
+            direct = meet_all(parts, dim=dim, tol=t)
+            direct_mass = float(np.real(np.trace(direct.matrix @ state.matrix)))
+            for k in range(len(xs[j].spectrum)):
+                combo_values = []
+                rest_iter2 = iter(rest)
+                for i, x in enumerate(xs):
+                    if i == j:
+                        combo_values.append(x.spectrum[k])
+                    else:
+                        combo_values.append(x.spectrum[next(rest_iter2)])
+                summed += masses[tuple(combo_values)]
+            worst = max(worst, abs(summed - direct_mass))
+    return masses, worst, worst <= t.assert_tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=1, max_value=7),
+       count=st.integers(min_value=1, max_value=3),
+       kind=st.sampled_from(["commuting", "block", "generic"]))
+def test_grid_measure_matches_per_meet_loop_bitwise(seed, dim, count, kind):
+    rng = rng_from_seed(seed)
+    if kind == "commuting":
+        xs = random_commuting_observables(dim, count, rng)
+        state = random_density(dim, rng)
+    elif kind == "block" and dim >= 4:
+        xs, state = random_determinate_family(dim, max(count, 2), rng)
+    else:
+        xs = [random_observable(f"X{i}", dim, rng) for i in range(count)]
+        state = random_density(dim, rng)
+    masses, worst, ok = states._grid_measure(xs, state, DEFAULT_TOL)
+    expected_masses, expected_worst, expected_ok = _grid_measure_by_meet_all(xs, state, DEFAULT_TOL)
+    assert list(masses) == list(expected_masses)
+    assert [v.hex() for v in masses.values()] == [v.hex() for v in expected_masses.values()]
+    assert worst.hex() == expected_worst.hex()
+    assert ok == expected_ok
 
 
 # ---------------------------------------------------------------------------
