@@ -7,8 +7,11 @@ Three independent routes to the same object:
 * ``com_kernel``: the joint kernel of the triple products [P1, P2] P3,
   which is linear-algebraic rather than lattice-built;
 * ``com_observables``: the spectral-family kernel route for observables,
-  cross-checked against the commutator kernel of a basis of the generated
-  algebra.
+  cross-checked against the joint kernel of [a, g] over a basis a of the
+  generated *-algebra and the letters g of G and G^dag.  That kernel equals
+  the one of all basis pairs [a_i, a_j], since [a, gh] = [ag, h] + [ha, g]
+  reaches every word from the letters, with |A| * 2k * d rows for k
+  generators instead of |A| (|A| - 1) / 2 * d.
 
 The engine never collapses routes into each other: route agreement is the
 load-bearing correctness signal.
@@ -24,7 +27,7 @@ import numpy as np
 
 from .algebras import MatrixAlgebra, algebra_from_generators, minimal_central_projections
 from .errors import CrossCheckFailure, FamilyTooLargeError
-from .linalg import commutator, max_pair_commutator_norm, opnorm, opnorms
+from .linalg import commutator, dagger, max_pair_commutator_norm, opnorm, opnorms
 from .observables import Observable
 from .projectors import (
     Projector,
@@ -98,24 +101,32 @@ def com_observables(observables: Sequence[Observable],
     """Commutator of finitely many observables.
 
     Production route: the triple-product kernel over the cumulative spectral
-    projectors.  Cross-check route: the kernel of summed pairwise commutators
-    of an algebra basis for the generated *-algebra.  Disagreement raises
-    CrossCheckFailure since both characterize the same projection.
+    projectors.  Cross-check route: the joint kernel of the stacked
+    commutators [a, g] of a basis a of the generated *-algebra with each
+    nonzero generator g and its adjoint, each divided by its operator norm.
+    It reads the raw generator matrices and the algebra basis, never the
+    spectral projectors.  Disagreement raises CrossCheckFailure since both
+    characterize the same projection.
     """
     xs = list(observables)
     spectral_route = com_kernel(threshold_family(xs), tol)
     if cross_check:
-        dim = xs[0].dim
-        alg = algebra_from_generators([x.matrix for x in xs], dim, tol)
-        basis = np.stack(alg.basis)
-        blocks = [commutator(basis[i], basis[i + 1:]).reshape(-1, dim)
-                  for i in range(len(basis) - 1)]
-        algebra_route = common_null_space_projector(blocks, dim, tol, scale_floor=1.0)
+        algebra_route = _algebra_route([x.matrix for x in xs], xs[0].dim, tol)
         gap = opnorm(spectral_route.matrix - algebra_route.matrix)
         if gap > tol.assert_tol:
             raise CrossCheckFailure(
                 f"commutator routes disagree by {gap:.3e} on {[x.name for x in xs]}")
     return spectral_route
+
+
+def _algebra_route(gens: Sequence[np.ndarray], dim: int, tol: ToleranceConfig) -> Projector:
+    """Joint kernel of [a, g] over the generated algebra's basis a and the
+    letters g: each nonzero generator and its adjoint, divided by its norm."""
+    basis = np.stack(algebra_from_generators(gens, dim, tol).basis)
+    letters = [m / scale for g, scale in zip(gens, opnorms(gens)) if scale != 0.0
+               for m in (g, dagger(g))]
+    blocks = [commutator(basis, g).reshape(-1, dim) for g in letters]
+    return common_null_space_projector(blocks, dim, tol, scale_floor=1.0)
 
 
 @dataclass

@@ -23,6 +23,10 @@ class NonFiniteError(QLogicError):
     """A matrix holds a non-finite number, or its norm or symmetrization overflows."""
 
 
+class FactorizationError(QLogicError):
+    """An SVD or eigendecomposition did not converge (numpy raised LinAlgError)."""
+
+
 class DimensionMismatchError(QLogicError):
     """Operands live on different spaces."""
 

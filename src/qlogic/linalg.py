@@ -9,6 +9,7 @@ pairs of a family, formed one stacked row of pairs at a time.  The batched
 forms give each matrix the bits ``opnorm`` gives it.  Likewise
 ``solution_bases`` solves a stack of equal-shape homogeneous systems in one
 batched SVD call and gives each system the bits ``solution_basis`` gives it.
+Every SVD here that fails to converge raises ``FactorizationError``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    FactorizationError,
     NonFiniteError,
     NonSquareError,
     NotHermitianError,
@@ -44,6 +46,14 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).T
 
 
+def _svd(a: np.ndarray, **options):
+    """``np.linalg.svd``, with non-convergence raised as FactorizationError."""
+    try:
+        return np.linalg.svd(a, **options)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"SVD of a {a.shape} array did not converge: {exc}") from exc
+
+
 def opnorm(m) -> float:
     """Operator 2-norm (largest singular value)."""
     m = np.asarray(m, dtype=complex)
@@ -57,7 +67,7 @@ def opnorms(stack) -> np.ndarray:
     s = np.asarray(stack, dtype=complex)
     if s.size == 0:
         return np.zeros(len(s))
-    return np.linalg.svd(s, compute_uv=False)[:, 0]
+    return _svd(s, compute_uv=False)[:, 0]
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -144,7 +154,7 @@ def kernel_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL,
     n = m.shape[0]
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
-    _, s, vh = np.linalg.svd(m)
+    _, s, vh = _svd(m)
     cutoff = singular_cutoff(s, n, tol, scale_floor)
     null_mask = s <= cutoff
     return dagger(vh)[:, null_mask]
@@ -163,7 +173,7 @@ def solution_basis(system, unknowns: int, tol: ToleranceConfig = DEFAULT_TOL,
         # right-singular direction; a full left factor of a tall stack
         # would be quadratic in the row count.
         a = np.vstack([a, np.zeros((unknowns - a.shape[0], unknowns), dtype=complex)])
-    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    _, s, vh = _svd(a, full_matrices=False)
     cutoff = singular_cutoff(s, unknowns, tol, scale_floor)
     rank = int(np.count_nonzero(s > cutoff))
     return dagger(vh)[:, rank:]
@@ -186,7 +196,7 @@ def solution_bases(systems, unknowns: int, tol: ToleranceConfig = DEFAULT_TOL,
     if a.shape[1] < unknowns:
         padding = np.zeros((len(a), unknowns - a.shape[1], unknowns), dtype=complex)
         a = np.concatenate([a, padding], axis=1)
-    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    _, s, vh = _svd(a, full_matrices=False)
     bases = []
     for values, right in zip(s, vh):
         cutoff = singular_cutoff(values, unknowns, tol, scale_floor)
@@ -202,7 +212,7 @@ def range_basis(columns, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         raise DimensionMismatchError(f"expected a column stack, got ndim={c.ndim}")
     if c.shape[1] == 0:
         return np.zeros((c.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(c, full_matrices=False)
+    u, s, _ = _svd(c, full_matrices=False)
     cutoff = singular_cutoff(s, max(c.shape), tol)
     return u[:, s > cutoff]
 

@@ -16,18 +16,32 @@ from qlogic.algebras import (
     commutant,
     contains,
     minimal_central_projections,
-    span_equal,
 )
 from qlogic.errors import DimensionMismatchError, QLogicError
-from qlogic.linalg import commutator, dagger, max_pair_commutator_norm, opnorm
+from qlogic.linalg import commutator, dagger, max_pair_commutator_norm, opnorm, range_basis
 from qlogic.sampling import (
     haar_unitary,
     random_block_observables,
+    random_commuting_observables,
     random_density,
     random_observable,
     rng_from_seed,
 )
 from qlogic.tolerances import DEFAULT_TOL, ToleranceConfig
+
+
+def span_equal(first, second, tol=DEFAULT_TOL):
+    """Mutual containment of two Hilbert-Schmidt spans of matrices.
+
+    The inputs need not be orthonormal or even independent; each stack is
+    reduced to an orthonormal range first, since the containment test
+    projects with the stack directly.
+    """
+    a = range_basis(algebras._stack(first), tol)
+    b = range_basis(algebras._stack(second), tol)
+    if a.shape[1] != b.shape[1]:
+        return False
+    return algebras._span_contains(a, b, tol) and algebras._span_contains(b, a, tol)
 
 
 def test_commutant_of_nothing_is_everything():
@@ -402,3 +416,196 @@ def test_max_pair_commutator_norm_matches_pair_loop(seed, dim, blocks, keep, wit
     assert max_pair_commutator_norm(basis, right) == _max_pair_by_loop(basis, right)
     if len(basis) < 2:
         assert max_pair_commutator_norm(basis, right) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# solve-free fixpoint checks against the commutant(basis) solve
+
+
+def _build_by_fixpoint_solve(gens, dim, tol=DEFAULT_TOL):
+    """The build with its third commutant solve, C(A) = C(G) by span
+    equality, kept as the oracle for the solve-free checks."""
+    comm = commutant(gens, dim, tol)
+    basis = commutant(comm, dim, tol)
+    stack = algebras._stack(basis)
+    if not algebras._span_contains(stack, algebras._stack([dagger(b) for b in basis]), tol):
+        raise QLogicError("algebra span is not adjoint-closed")
+    algebras._check_product_closed(basis, stack, tol)
+    if not span_equal(commutant(basis, dim, tol), comm, tol):
+        raise QLogicError("double commutant fixpoint failed")
+    return basis, comm
+
+
+def _rotated_block_generators(blocks, rng):
+    """Two generators of U ((+) M_n (x) I_m) U^dag for the (n, m) blocks.
+
+    Each block carries a random Hermitian pair, simple in spectrum, tensored
+    with I_m and shifted by a block-dependent scalar so that blocks of equal
+    n stay inequivalent.
+    """
+    def hermitian(n):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return a + dagger(a)
+
+    dim = sum(n * m for n, m in blocks)
+    first = np.zeros((dim, dim), dtype=complex)
+    second = np.zeros((dim, dim), dtype=complex)
+    at = 0
+    for k, (n, m) in enumerate(blocks):
+        size = n * m
+        h = hermitian(n) + 20.0 * k * np.eye(n)
+        g = hermitian(n)
+        first[at:at + size, at:at + size] = np.kron(h, np.eye(m))
+        second[at:at + size, at:at + size] = np.kron(g, np.eye(m))
+        at += size
+    u = haar_unitary(dim, rng)
+    return [u @ first @ dagger(u), u @ second @ dagger(u)]
+
+
+def _family(kind, dim, rng):
+    if kind == "generic":
+        return [random_observable(name, dim, rng).matrix for name in "XY"[:rng.integers(1, 3)]]
+    if kind == "commuting":
+        return [x.matrix for x in random_commuting_observables(dim, 2, rng)]
+    split = [dim // 2, dim - dim // 2]
+    return [x.matrix for x in random_block_observables(split, [True, False], 2, rng)]
+
+
+def _wedderburn_residual(basis, comm):
+    left = sum(b @ dagger(b) for b in basis)
+    right = sum(c @ dagger(c) for c in comm)
+    return opnorm(left @ right - np.eye(len(left)))
+
+
+def _fixpoint_ok(gens, basis, comm):
+    try:
+        algebras._check_fixpoint(gens, basis, comm, DEFAULT_TOL)
+    except QLogicError:
+        return False
+    return True
+
+
+def _assert_solve_free_checks_match_the_oracle(gens, dim):
+    basis, comm = _build_by_fixpoint_solve(gens, dim)
+    alg = algebras._build_algebra([g.copy() for g in gens], dim, DEFAULT_TOL)
+    for ours, theirs in ((alg.basis, basis), (alg.commutant_basis, comm)):
+        assert len(ours) == len(theirs)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs))
+    assert all(contains(alg, g) for g in gens)
+    assert _wedderburn_residual(alg.basis, alg.commutant_basis) <= DEFAULT_TOL.assert_tol
+    return alg
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=2, max_value=6),
+       kind=st.sampled_from(["generic", "commuting", "block"]))
+def test_solve_free_fixpoint_checks_accept_what_the_solve_accepts(seed, dim, kind):
+    rng = rng_from_seed(seed)
+    _assert_solve_free_checks_match_the_oracle(_family(kind, dim, rng), dim)
+
+
+_BLOCK_SHAPES = [[(1, 1), (1, 1), (1, 1)], [(2, 1)], [(2, 2)], [(1, 2), (2, 1)],
+                 [(3, 1), (1, 3)], [(2, 1), (2, 1), (1, 2)], [(1, 1), (2, 2)],
+                 [(3, 2)], [(2, 3)], [(1, 4), (2, 1)]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       blocks=st.sampled_from(_BLOCK_SHAPES))
+def test_solve_free_checks_on_rotated_block_algebras_of_known_shape(seed, blocks):
+    rng = rng_from_seed(seed)
+    dim = sum(n * m for n, m in blocks)
+    alg = _assert_solve_free_checks_match_the_oracle(_rotated_block_generators(blocks, rng), dim)
+    assert alg.size == sum(n * n for n, _ in blocks)
+    assert len(alg.commutant_basis) == sum(m * m for _, m in blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=2, max_value=6),
+       kind=st.sampled_from(["generic", "commuting", "block"]),
+       mutation=st.sampled_from(["drop-basis", "extra-commutant"]))
+def test_fixpoint_checks_reject_a_mutated_basis_or_commutant(seed, dim, kind, mutation):
+    rng = rng_from_seed(seed)
+    gens = _family(kind, dim, rng)
+    alg = algebra_from_generators(gens, dim)
+    basis, comm = list(alg.basis), list(alg.commutant_basis)
+    if mutation == "drop-basis":
+        del basis[int(rng.integers(len(basis)))]
+    else:
+        stack = algebras._stack(comm)
+        extra = (rng.normal(size=dim * dim) + 1j * rng.normal(size=dim * dim))
+        extra -= stack @ (dagger(stack) @ extra)
+        comm.append((extra / np.linalg.norm(extra)).reshape(dim, dim))
+    # No generators: the membership check (which reads only the commutant)
+    # stays out, so the basis-commutant and Wedderburn checks must catch it.
+    assert _fixpoint_ok([], alg.basis, alg.commutant_basis)
+    with pytest.raises(QLogicError, match="commute with its commutant|span the algebra's"):
+        algebras._check_fixpoint([], basis, comm, DEFAULT_TOL)
+
+
+def test_fixpoint_checks_reject_a_missing_generator():
+    # The diagonal algebra does not hold sigma_x on its first two coordinates.
+    alg = algebra_from_generators([np.diag([1.0, 2.0, 3.0]).astype(complex)], 3)
+    embedded = np.zeros((3, 3), dtype=complex)
+    embedded[:2, :2] = SIGMA_X
+    assert not _fixpoint_ok([embedded], alg.basis, alg.commutant_basis)
+    assert _fixpoint_ok([np.diag([1.0, 2.0, 3.0])], alg.basis, alg.commutant_basis)
+
+
+def test_a_build_solves_two_commutant_systems(monkeypatch):
+    calls = []
+    original = algebras.commutant
+
+    def counted(generators, dim, tol=DEFAULT_TOL):
+        calls.append(len(generators))
+        return original(generators, dim, tol)
+
+    monkeypatch.setattr(algebras, "commutant", counted)
+    alg = algebras._build_algebra([SIGMA_X, SIGMA_Z], 2, DEFAULT_TOL)
+    assert calls == [2, len(alg.commutant_basis)]
+
+
+# ---------------------------------------------------------------------------
+# near-degenerate generators: refused or whole, never silently short
+
+
+def _split_pair(dim, split, seed):
+    """X with two eigenvalues split by ``split``, and a generic Y."""
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(dim, rng)
+    low = dim // 2
+    x = u @ np.diag([1.0] * low + [1.0 + split] * (dim - low)) @ dagger(u)
+    return [x, random_observable("Y", dim, rng).matrix]
+
+
+def _refused_or_whole(gens, dim):
+    try:
+        alg = algebra_from_generators(gens, dim)
+    except QLogicError:
+        return "refused"
+    assert all(contains(alg, g) for g in gens)
+    cube = np.stack(alg.basis)
+    worst = max(float(np.max([opnorm(commutator(c, b)) for b in cube]))
+                for c in alg.commutant_basis)
+    assert worst <= DEFAULT_TOL.assert_tol
+    assert _wedderburn_residual(alg.basis, alg.commutant_basis) <= DEFAULT_TOL.assert_tol
+    return "whole"
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=2, max_value=8),
+       exponent=st.integers(min_value=3, max_value=8))
+def test_near_degenerate_builds_are_refused_or_contain_their_generators(seed, dim, exponent):
+    _refused_or_whole(_split_pair(dim, 10.0 ** -exponent, seed), dim)
+
+
+def test_split_pairs_at_d8_that_lost_a_generator_are_refused():
+    # At d = 8 and a 1e-7 split, the build checked by the commutant(basis)
+    # solve returned, for these seeds, an algebra of size 2-4 with a
+    # commutant of 16-50 elements that does not contain X.
+    seeds = (0, 1, 4, 5, 9, 10, 11, 12, 13, 15)
+    outcomes = [_refused_or_whole(_split_pair(8, 1e-7, seed), 8) for seed in seeds]
+    assert outcomes == ["refused"] * len(seeds)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SIGMA_X, SIGMA_Z
+from qlogic import commutators
 from qlogic.algebras import algebra_from_generators
 from qlogic.commutators import (
     boolean_factorization_check,
@@ -15,10 +18,17 @@ from qlogic.commutators import (
     verify_subcommutator,
 )
 from qlogic.errors import CrossCheckFailure, FamilyTooLargeError
-from qlogic.linalg import opnorm
+from qlogic.linalg import commutator, opnorm
 from qlogic.observables import spectral_decompose
-from qlogic.projectors import Projector
-from qlogic.sampling import random_commuting_observables, rng_from_seed
+from qlogic.projectors import Projector, common_null_space_projector
+from qlogic.sampling import (
+    haar_unitary,
+    random_block_observables,
+    random_commuting_observables,
+    random_observable,
+    rng_from_seed,
+)
+from qlogic.tolerances import DEFAULT_TOL
 
 
 def ray(matrix):
@@ -150,6 +160,71 @@ def test_com_observables_cross_check_toggle():
     x = spectral_decompose("X", SIGMA_X)
     without = com_observables([z, x], cross_check=False)
     assert without.rank == 0
+
+
+def _all_pairs_route(gens, dim, tol=DEFAULT_TOL):
+    """The cross-check route over all basis pairs [a_i, a_j], kept as the
+    oracle for the basis x generator route."""
+    basis = np.stack(algebra_from_generators(gens, dim, tol).basis)
+    blocks = [commutator(basis[i], basis[i + 1:]).reshape(-1, dim)
+              for i in range(len(basis) - 1)]
+    return common_null_space_projector(blocks, dim, tol, scale_floor=1.0)
+
+
+def _observable_family(kind, dim, count, rng):
+    if kind == "generic":
+        return [random_observable(f"X{k}", dim, rng).matrix for k in range(count)]
+    if kind == "commuting":
+        return [x.matrix for x in random_commuting_observables(dim, count, rng)]
+    if kind == "block":
+        split = [dim // 2, dim - dim // 2]
+        return [x.matrix for x in random_block_observables(split, [False, True], count, rng)]
+    # A generic family with one member replaced by a scalar or by zero.
+    family = [random_observable(f"X{k}", dim, rng).matrix for k in range(count)]
+    family[int(rng.integers(count))] = (rng.normal() * np.eye(dim, dtype=complex)
+                                        if kind == "scalar" else np.zeros((dim, dim), complex))
+    return family
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=2, max_value=6),
+       count=st.integers(min_value=1, max_value=3),
+       kind=st.sampled_from(["generic", "commuting", "block", "scalar", "zero"]))
+def test_generator_route_matches_all_pairs_route(seed, dim, count, kind):
+    rng = rng_from_seed(seed)
+    gens = _observable_family(kind, dim, count, rng)
+    if kind == "generic" and count == 1 and dim >= 4:
+        # A rotated block family: the kernel is a proper nonzero subspace.
+        u = haar_unitary(dim, rng)
+        gens = [u @ g @ u.conj().T for g in _observable_family("block", dim, 2, rng)]
+    ours = commutators._algebra_route(gens, dim, DEFAULT_TOL)
+    oracle = _all_pairs_route(gens, dim)
+    assert ours.rank == oracle.rank
+    assert opnorm(ours.matrix - oracle.matrix) <= DEFAULT_TOL.assert_tol
+
+
+def test_generator_route_of_zero_and_scalar_generators_is_identity():
+    for gens in ([np.zeros((3, 3), complex)], [2.5 * np.eye(3, dtype=complex)],
+                 [np.zeros((3, 3), complex), np.eye(3, dtype=complex)]):
+        assert commutators._algebra_route(gens, 3, DEFAULT_TOL).rank == 3
+        assert _all_pairs_route(gens, 3).rank == 3
+
+
+def test_generator_route_rows_grow_with_basis_times_generators(monkeypatch):
+    seen = []
+    original = commutators.common_null_space_projector
+
+    def recording(blocks, dim, tol, scale_floor):
+        seen.append(sum(len(b) for b in blocks))
+        return original(blocks, dim, tol, scale_floor)
+
+    monkeypatch.setattr(commutators, "common_null_space_projector", recording)
+    rng = rng_from_seed(3)
+    gens = [random_observable(name, 5, rng).matrix for name in "XY"]
+    commutators._algebra_route(gens, 5, DEFAULT_TOL)
+    # The pair generates M_5: 25 basis elements x 2 generators x (g, g^dag) x 5 rows.
+    assert seen == [25 * 2 * 2 * 5]
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
-from qlogic import DEFAULT_TOL
+from qlogic import DEFAULT_TOL, cli
+from qlogic.algebras import algebra_from_generators, minimal_central_projections
 from qlogic.errors import (
     DimensionMismatchError,
+    FactorizationError,
     NonFiniteError,
     NonSquareError,
     NotHermitianError,
@@ -214,3 +216,40 @@ def test_rng_from_seed_is_deterministic():
     a = rng_from_seed(5).normal(size=8)
     b = rng_from_seed(5).normal(size=8)
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# factorizations that do not converge
+
+
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("no convergence")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solution_basis(np.ones((2, 3)), 3),
+    lambda: solution_bases(np.ones((2, 2, 3)), 3),
+    lambda: kernel_basis(np.eye(3)),
+    lambda: range_basis(np.ones((3, 2))),
+    lambda: opnorms(np.ones((2, 3, 3))),
+], ids=["solution_basis", "solution_bases", "kernel_basis", "range_basis", "opnorms"])
+def test_svd_non_convergence_raises_a_typed_error(monkeypatch, call):
+    monkeypatch.setattr(np.linalg, "svd", _no_convergence)
+    with pytest.raises(FactorizationError, match="did not converge"):
+        call()
+
+
+def test_central_eigh_non_convergence_raises_a_typed_error(monkeypatch):
+    alg = algebra_from_generators([np.diag([1.0, 1.0, 2.0])], 3)
+    monkeypatch.setattr(np.linalg, "eigh", _no_convergence)
+    with pytest.raises(FactorizationError, match="did not converge"):
+        minimal_central_projections(alg)
+
+
+def test_cli_reports_a_failed_factorization_without_traceback(monkeypatch, capsys, scenario_file):
+    monkeypatch.setattr(np.linalg, "svd", _no_convergence)
+    assert cli.main(["prob", scenario_file, "compatible", "up"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("assertion failure: SVD of a ")
+    assert "Traceback" not in captured.err

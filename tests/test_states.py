@@ -1,6 +1,10 @@
 """States, Born probabilities, determinateness, and quantum equality."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -466,3 +470,40 @@ def test_common_eigenvectors_equal_mode_arity():
     a = diag_obs("A", 0.0, 1.0, 2.0)
     with pytest.raises(DimensionMismatchError):
         common_eigenvector_projector([a], mode="equal")
+
+
+# ---------------------------------------------------------------------------
+# the d^4 memory wall
+
+# A d = 16 generic pair, run under a 1 GiB address-space limit the child sets
+# on itself.  A build that solves the 2 d^4-row commutant(basis) system needs
+# ~2.1 GB here and raises MemoryError already at 1.5 GB.  The child prints
+# its CPU seconds (single-threaded BLAS) on a second line: ~0.6 s on a 2-vCPU
+# VM, against 11.6 s with that solve.
+_WALL_CHILD = textwrap.dedent("""
+    import resource
+    import time
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+    from qlogic.sampling import random_density, random_observable, rng_from_seed
+    from qlogic.states import determinateness_battery
+    rng = rng_from_seed(16)
+    xs = [random_observable(name, 16, rng) for name in "XY"]
+    state = random_density(16, rng)
+    start = time.process_time()
+    report = determinateness_battery(xs, state)
+    print("determinate", report.determinate)
+    print(time.process_time() - start)
+""")
+
+
+def test_d16_generic_pair_battery_fits_in_one_gib():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    source = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", _WALL_CHILD], capture_output=True,
+                            text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    verdict, seconds = result.stdout.splitlines()
+    assert verdict == "determinate False"
+    assert float(seconds) < 3.0
