@@ -407,7 +407,7 @@ def _suite_determinateness(rng: np.random.Generator, tol: ToleranceConfig) -> li
                 state = random_density(dim, rng, tol=tol)
                 report = determinateness_battery(xs, state, tol)
                 commuting_total += 1
-                if report.determinate:
+                if report.holds:
                     commuting_true += 1
                 if report.distribution is not None:
                     for values, mass in report.distribution.sorted_items():
@@ -421,7 +421,7 @@ def _suite_determinateness(rng: np.random.Generator, tol: ToleranceConfig) -> li
                 xs, state = random_determinate_family(dim, int(rng.integers(2, 4)), rng, tol)
                 report = determinateness_battery(xs, state, tol)
                 block_positive_total += 1
-                if report.determinate:
+                if report.holds:
                     block_positive += 1
             elif style == 2:
                 dim = int(rng.integers(4, 7))
@@ -458,8 +458,7 @@ def _suite_determinateness(rng: np.random.Generator, tol: ToleranceConfig) -> li
         CheckLine("full-rank states fail every clause for block families",
                   block_negative == block_negative_total,
                   f"{block_negative}/{block_negative_total}"),
-        CheckLine("Pauli pair with mixed state fails every clause",
-                  pauli.coherent and pauli_all_false),
+        CheckLine("Pauli pair with mixed state fails every clause", pauli_all_false),
         CheckLine("constructed joint measure matches Born atom masses",
                   worst_born <= tol.assert_tol, f"max gap {_fmt(worst_born)}"),
     ]
@@ -501,14 +500,14 @@ def _suite_equality(rng: np.random.Generator, tol: ToleranceConfig) -> list[Chec
             if style == 0:
                 x, y, state = random_agreeing_pair(int(rng.integers(4, 7)), rng, tol)
                 positives_total += 1
-                if equality_battery(x, y, state, tol).equal:
+                if equality_battery(x, y, state, tol).holds:
                     positives += 1
             elif style == 1:
                 dim = int(rng.integers(2, 6))
                 x = random_observable("X", dim, rng, tol=tol)
                 state = random_vector_state(dim, rng, tol)
                 positives_total += 1
-                if equality_battery(x, _renamed(x, "Y"), state, tol).equal:
+                if equality_battery(x, _renamed(x, "Y"), state, tol).holds:
                     positives += 1
             elif style == 2:
                 dim = int(rng.integers(2, 6))
@@ -516,7 +515,7 @@ def _suite_equality(rng: np.random.Generator, tol: ToleranceConfig) -> list[Chec
                 y = random_observable("Y", dim, rng, tol=tol)
                 state = random_density(dim, rng, tol=tol)
                 report = equality_battery(x, y, state, tol)
-                if not report.equal:
+                if not report.holds:
                     negatives_total += 1
                     if not any(report.clauses.values()):
                         negatives += 1
@@ -524,7 +523,7 @@ def _suite_equality(rng: np.random.Generator, tol: ToleranceConfig) -> list[Chec
                 x, y, _ = random_agreeing_pair(int(rng.integers(4, 7)), rng, tol)
                 state = random_density(x.dim, rng, rank=x.dim, tol=tol)
                 report = equality_battery(x, y, state, tol)
-                if not report.equal:
+                if not report.holds:
                     negatives_total += 1
                     if not any(report.clauses.values()):
                         negatives += 1
@@ -715,12 +714,12 @@ def _suite_measurement(rng: np.random.Generator, tol: ToleranceConfig) -> list[C
     cnot_hits = 0
     for _ in range(50):
         state = random_vector_state(2, rng, tol)
-        if measurement_battery(cnot, sigma_z, state, tol).measures:
+        if measurement_battery(cnot, sigma_z, state, tol).holds:
             cnot_hits += 1
 
     up = DensityState.from_vector(np.array([1.0, 0.0], dtype=complex), tol)
     x_report = measurement_battery(cnot, sigma_x, up, tol)
-    x_all_false = x_report.coherent and not any(x_report.clauses.values())
+    x_all_false = not any(x_report.clauses.values())
 
     incoherent = 0
     pushforward_gap = 0.0
@@ -769,7 +768,7 @@ def _suite_measurement(rng: np.random.Generator, tol: ToleranceConfig) -> list[C
         try:
             report = global_measurement_check(process, a, spanning_state_sample(dim, tol), tol)
             expected = i % 2 == 0
-            if report.coherent and report.measures_globally == expected:
+            if report.holds == expected:
                 global_ok += 1
         except QLogicError:
             pass

@@ -3,7 +3,8 @@
 Numbers are printed at 12 significant digits through one canonicalization
 path, so the JSON report of a run is byte-identical across repeated
 invocations with the same scenario and seed.  Exit codes: 0 when every
-assertion passes, 1 when a checked assertion fails, 2 for malformed input.
+assertion passes, 1 when a checked assertion fails (any other QLogicError
+included), 2 for an ``InputError`` or an unreadable file.
 """
 
 from __future__ import annotations
@@ -17,24 +18,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from .batteries import SuiteResult, run_all, run_suite
-from .errors import (
-    DimensionMismatchError,
-    FamilyTooLargeError,
-    NonSquareError,
-    NotAPOVMError,
-    NotHermitianError,
-    NotUnitaryError,
-    PropositionSyntaxError,
-    QLogicError,
-    ScenarioParseError,
-    ScenarioValidationError,
-    UndefinedAtSpectralPointError,
-    UnknownNameError,
-    UnknownObservableError,
-)
+from .errors import InputError, QLogicError, ScenarioParseError, UnknownNameError
 from .measurement import measurement_battery, output_distribution
 from .propositions import is_contextually_wellformed, is_standard, truth_value
-from .scenario import load_scenario
+from .scenario import Scenario, load_scenario
 from .states import (
     JointDistribution,
     determinateness_battery,
@@ -42,21 +29,6 @@ from .states import (
     probability,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
-
-_INPUT_ERRORS = (
-    ScenarioParseError,
-    ScenarioValidationError,
-    UnknownNameError,
-    UnknownObservableError,
-    PropositionSyntaxError,
-    DimensionMismatchError,
-    NonSquareError,
-    NotHermitianError,
-    NotUnitaryError,
-    NotAPOVMError,
-    FamilyTooLargeError,
-    UndefinedAtSpectralPointError,
-)
 
 
 def _canon(value: float) -> float:
@@ -72,12 +44,9 @@ def _matrix_json(matrix: np.ndarray) -> list[list[list[float]]]:
     return [[_pair(complex(entry)) for entry in row] for row in np.asarray(matrix)]
 
 
-def _print_report(report: dict, as_json: bool, lines: Sequence[str]) -> None:
-    if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for line in lines:
-            print(line)
+def _atoms_json(distribution: JointDistribution) -> list[dict]:
+    return [{"values": [_canon(v) for v in values], "mass": _canon(mass)}
+            for values, mass in distribution.sorted_items()]
 
 
 def _lookup(section: dict, name: str, kind: str):
@@ -87,11 +56,19 @@ def _lookup(section: dict, name: str, kind: str):
         raise UnknownNameError(f"no {kind} named {name!r}") from None
 
 
+def _family_and_state(scenario: Scenario, names: Sequence[str], command: str):
+    """The observables named first and the state named last on the command line."""
+    if len(names) < 2:
+        raise UnknownNameError(f"{command} needs at least one observable and a state")
+    state = _lookup(scenario.states, names[-1], "state")
+    return [_lookup(scenario.observables, n, "observable") for n in names[:-1]], state
+
+
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (JSON report, text lines, exit code) for main to print
 
 
-def _cmd_eval(args, tol: ToleranceConfig) -> int:
+def _cmd_eval(args, tol: ToleranceConfig):
     scenario = load_scenario(args.scenario, tol)
     node = _lookup(scenario.propositions, args.proposition, "proposition")
     projector = truth_value(node, scenario.registry, tol)
@@ -117,11 +94,10 @@ def _cmd_eval(args, tol: ToleranceConfig) -> int:
     ]
     lines += [f"contextually well-formed in {name}: {flag}"
               for name, flag in sorted(contextual.items())]
-    _print_report(report, args.json, lines)
-    return 0
+    return report, lines, 0
 
 
-def _cmd_prob(args, tol: ToleranceConfig) -> int:
+def _cmd_prob(args, tol: ToleranceConfig):
     scenario = load_scenario(args.scenario, tol)
     node = _lookup(scenario.propositions, args.proposition, "proposition")
     state = _lookup(scenario.states, args.state, "state")
@@ -133,125 +109,86 @@ def _cmd_prob(args, tol: ToleranceConfig) -> int:
         "probability": _canon(value),
         "holds": value >= 1.0 - tol.assert_tol,
     }
-    _print_report(report, args.json, [
-        f"Pr{{{args.proposition} | {args.state}}} = {report['probability']:.12g}"])
-    return 0
+    return report, [f"Pr{{{args.proposition} | {args.state}}} = {report['probability']:.12g}"], 0
 
 
-def _cmd_check(args, tol: ToleranceConfig) -> int:
+def _cmd_check(args, tol: ToleranceConfig):
     scenario = load_scenario(args.scenario, tol)
-    if len(args.names) < 2:
-        raise UnknownNameError("check needs at least one observable and a state")
-    state = _lookup(scenario.states, args.names[-1], "state")
-    observable_names = args.names[:-1]
-    observables = [_lookup(scenario.observables, n, "observable")
-                   for n in observable_names]
+    observables, state = _family_and_state(scenario, args.names, "check")
+    names, state_name = args.names[:-1], args.names[-1]
     if args.kind == "determinate":
-        report_obj = determinateness_battery(observables, state, tol)
-        verdict = report_obj.determinate
-        report = {
-            "command": "check",
-            "kind": "determinate",
-            "observables": list(observable_names),
-            "state": args.names[-1],
-            "com_rank": report_obj.com.rank,
-            "clauses": dict(sorted(report_obj.clauses.items())),
-            "residuals": {k: _canon(v) for k, v in sorted(report_obj.residuals.items())},
-            "determinate": verdict,
-        }
-        if report_obj.distribution is not None:
-            report["distribution"] = [
-                {"values": [_canon(v) for v in values], "mass": _canon(mass)}
-                for values, mass in report_obj.distribution.sorted_items()
-            ]
-        lines = [f"determinate({', '.join(observable_names)}) in {args.names[-1]}: {verdict}",
-                 f"commutator projection rank {report_obj.com.rank} of {scenario.dimension}"]
-        lines += [f"  {k}: {v}" for k, v in sorted(report_obj.clauses.items())]
+        result = determinateness_battery(observables, state, tol)
+        rank_key = "com_rank"
+        lines = [f"determinate({', '.join(names)}) in {state_name}: {result.holds}",
+                 f"commutator projection rank {result.projector.rank} of {scenario.dimension}"]
     else:
         if len(observables) != 2:
             raise UnknownNameError("equality check needs exactly two observables and a state")
-        report_obj = equality_battery(observables[0], observables[1], state, tol)
-        verdict = report_obj.equal
-        report = {
-            "command": "check",
-            "kind": "equal",
-            "observables": list(observable_names),
-            "state": args.names[-1],
-            "projector_rank": report_obj.projector.rank,
-            "clauses": dict(sorted(report_obj.clauses.items())),
-            "residuals": {k: _canon(v) for k, v in sorted(report_obj.residuals.items())},
-            "equal": verdict,
-        }
-        lines = [f"{observable_names[0]} = {observable_names[1]} in {args.names[-1]}: {verdict}"]
-        lines += [f"  {k}: {v}" for k, v in sorted(report_obj.clauses.items())]
-    _print_report(report, args.json, lines)
-    return 0 if verdict else 1
+        result = equality_battery(observables[0], observables[1], state, tol)
+        rank_key = "projector_rank"
+        lines = [f"{names[0]} = {names[1]} in {state_name}: {result.holds}"]
+    # The verdict's key is the kind itself: "determinate" or "equal".
+    report = {
+        "command": "check",
+        "kind": args.kind,
+        "observables": list(names),
+        "state": state_name,
+        rank_key: result.projector.rank,
+        "clauses": dict(sorted(result.clauses.items())),
+        "residuals": {k: _canon(v) for k, v in sorted(result.residuals.items())},
+        args.kind: result.holds,
+    }
+    if result.distribution is not None:
+        report["distribution"] = _atoms_json(result.distribution)
+    lines += [f"  {k}: {v}" for k, v in sorted(result.clauses.items())]
+    return report, lines, 0 if result.holds else 1
 
 
-def _cmd_jointdist(args, tol: ToleranceConfig) -> int:
+def _cmd_jointdist(args, tol: ToleranceConfig):
     scenario = load_scenario(args.scenario, tol)
-    if len(args.names) < 2:
-        raise UnknownNameError("jointdist needs at least one observable and a state")
-    state = _lookup(scenario.states, args.names[-1], "state")
-    observable_names = args.names[:-1]
-    observables = [_lookup(scenario.observables, n, "observable")
-                   for n in observable_names]
-    report_obj = determinateness_battery(observables, state, tol)
-    if report_obj.distribution is None:
-        report = {
-            "command": "jointdist",
-            "observables": list(observable_names),
-            "state": args.names[-1],
-            "determinate": False,
-        }
-        _print_report(report, args.json, [
-            f"no joint distribution: {', '.join(observable_names)} "
-            f"not simultaneously determinate in {args.names[-1]}"])
-        return 1
-    distribution: JointDistribution = report_obj.distribution
-    atoms = [{"values": [_canon(v) for v in values], "mass": _canon(mass)}
-             for values, mass in distribution.sorted_items()]
+    observables, state = _family_and_state(scenario, args.names, "jointdist")
+    names, state_name = args.names[:-1], args.names[-1]
+    distribution = determinateness_battery(observables, state, tol).distribution
     report = {
         "command": "jointdist",
-        "observables": list(observable_names),
-        "state": args.names[-1],
-        "determinate": True,
-        "atoms": atoms,
+        "observables": list(names),
+        "state": state_name,
+        "determinate": distribution is not None,
     }
-    header = "  ".join(f"{n:>8}" for n in observable_names) + "      mass"
-    lines = [header]
-    for atom in atoms:
+    if distribution is None:
+        return report, [f"no joint distribution: {', '.join(names)} "
+                        f"not simultaneously determinate in {state_name}"], 1
+    report["atoms"] = _atoms_json(distribution)
+    lines = ["  ".join(f"{n:>8}" for n in names) + "      mass"]
+    for atom in report["atoms"]:
         row = "  ".join(f"{v:8.5g}" for v in atom["values"])
         lines.append(f"{row}  {atom['mass']:.12g}")
-    _print_report(report, args.json, lines)
-    return 0
+    return report, lines, 0
 
 
-def _cmd_measure(args, tol: ToleranceConfig) -> int:
+def _cmd_measure(args, tol: ToleranceConfig):
     scenario = load_scenario(args.scenario, tol)
     process = _lookup(scenario.processes, args.process, "process")
     observable = _lookup(scenario.observables, args.observable, "observable")
     state = _lookup(scenario.states, args.state, "state")
-    report_obj = measurement_battery(process, observable, state, tol)
+    result = measurement_battery(process, observable, state, tol)
     distribution = output_distribution(process, state, tol)
     report = {
         "command": "measure",
         "process": args.process,
         "observable": args.observable,
         "state": args.state,
-        "clauses": dict(sorted(report_obj.clauses.items())),
-        "measures": report_obj.measures,
+        "clauses": dict(sorted(result.clauses.items())),
+        "measures": result.holds,
         "output_distribution": {f"{_canon(k):.12g}": _canon(v)
                                 for k, v in sorted(distribution.items())},
     }
-    lines = [f"{args.process} measures {args.observable} in {args.state}: "
-             f"{report_obj.measures}"]
-    lines += [f"  {k}: {v}" for k, v in sorted(report_obj.clauses.items())]
+    lines = [f"{args.process} measures {args.observable} in {args.state}: {result.holds}"]
+    lines += [f"  {k}: {v}" for k, v in sorted(result.clauses.items())]
     lines += ["output distribution:"]
     lines += [f"  {k} -> {v:.12g}" for k, v in sorted(report["output_distribution"].items(),
                                                       key=lambda kv: float(kv[0]))]
-    _print_report(report, args.json, lines)
-    return 0
+    return report, lines, 0
 
 
 def _suite_lines(result: SuiteResult) -> list[str]:
@@ -265,7 +202,7 @@ def _suite_lines(result: SuiteResult) -> list[str]:
     return lines
 
 
-def _cmd_battery(args, tol: ToleranceConfig) -> int:
+def _cmd_battery(args, tol: ToleranceConfig):
     target = args.target
     suite_name = args.suite
     seed = args.seed
@@ -289,11 +226,8 @@ def _cmd_battery(args, tol: ToleranceConfig) -> int:
         "suites": [r.summary() for r in results],
         "passed": all(r.passed for r in results),
     }
-    lines: list[str] = []
-    for r in results:
-        lines += _suite_lines(r)
-    _print_report(_canon_tree(report), args.json, lines)
-    return 0 if report["passed"] else 1
+    lines = [line for r in results for line in _suite_lines(r)]
+    return _canon_tree(report), lines, 0 if report["passed"] else 1
 
 
 def _canon_tree(value):
@@ -393,11 +327,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: invalid tolerance: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.handler(args, tol)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        report, lines, code = args.handler(args, tol)
+        print(json.dumps(report, sort_keys=True, indent=2) if args.json else "\n".join(lines))
+        return code
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QLogicError as exc:

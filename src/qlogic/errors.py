@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every failure the package raises is a ``QLogicError``.  ``InputError``
+marks the subset caused by the input itself: a malformed or invalid
+scenario, an unknown name, operands of the wrong shape or kind.  The CLI
+exits 2 for these and 1 for every other ``QLogicError``, which signals a
+failed check or, for ``CrossCheckFailure`` and ``InconsistentBattery``, a
+kernel bug.
+"""
 
 from __future__ import annotations
 
@@ -7,15 +15,19 @@ class QLogicError(Exception):
     """Base class for package-specific failures."""
 
 
-class NonSquareError(QLogicError):
+class InputError(QLogicError):
+    """The input is malformed or names something that does not exist."""
+
+
+class NonSquareError(InputError):
     """A square matrix was required."""
 
 
-class NotHermitianError(QLogicError):
+class NotHermitianError(InputError):
     """Hermiticity violated beyond the assertion tolerance."""
 
 
-class NotUnitaryError(QLogicError):
+class NotUnitaryError(InputError):
     """Unitarity violated beyond the assertion tolerance."""
 
 
@@ -27,11 +39,11 @@ class FactorizationError(QLogicError):
     """An SVD or eigendecomposition did not converge (numpy raised LinAlgError)."""
 
 
-class DimensionMismatchError(QLogicError):
+class DimensionMismatchError(InputError):
     """Operands live on different spaces."""
 
 
-class FamilyTooLargeError(QLogicError):
+class FamilyTooLargeError(InputError):
     """The sign-map expansion would exceed the supported family size."""
 
 
@@ -39,7 +51,7 @@ class NotCommutingError(QLogicError):
     """An operation that requires mutually commuting operands received ones that do not."""
 
 
-class UndefinedAtSpectralPointError(QLogicError):
+class UndefinedAtSpectralPointError(InputError):
     """A scalar function was applied to an operator but is undefined at a spectral point."""
 
 
@@ -54,15 +66,15 @@ class CrossCheckFailure(QLogicError):
 class InconsistentBattery(QLogicError):
     """Clauses of an equivalence battery disagreed beyond tolerance (kernel bug signal).
 
-    Carries the offending report in ``args[1]`` when available.
+    Raised only by ``ClauseReport.checked``, with the report in ``args[1]``.
     """
 
 
-class NotAPOVMError(QLogicError):
+class NotAPOVMError(InputError):
     """Effects are not positive or do not resolve the identity."""
 
 
-class UnknownObservableError(QLogicError):
+class UnknownObservableError(InputError):
     """A proposition mentions an observable the registry does not define."""
 
 
@@ -70,7 +82,7 @@ class NotATautologyError(QLogicError):
     """The propositional skeleton is falsifiable classically."""
 
 
-class PropositionSyntaxError(QLogicError):
+class PropositionSyntaxError(InputError):
     """Parse failure in the proposition grammar, with position and expectation info."""
 
     def __init__(self, message: str, line: int, column: int, expected: frozenset[str] = frozenset()):
@@ -83,7 +95,7 @@ class PropositionSyntaxError(QLogicError):
         super().__init__(detail)
 
 
-class ScenarioParseError(QLogicError):
+class ScenarioParseError(InputError):
     """Malformed scenario document; ``path`` points into the document."""
 
     def __init__(self, path: str, message: str):
@@ -91,13 +103,13 @@ class ScenarioParseError(QLogicError):
         super().__init__(f"{path}: {message}")
 
 
-class ScenarioValidationError(QLogicError):
-    """Well-formed scenario document with semantically invalid content."""
+class ScenarioValidationError(InputError):
+    """Well-formed scenario document with invalid content; ``path`` names the object."""
 
-    def __init__(self, name: str, message: str):
-        self.name = name
-        super().__init__(f"{name}: {message}")
+    def __init__(self, path: str, message: str):
+        self.path = path
+        super().__init__(f"{path}: {message}")
 
 
-class UnknownNameError(QLogicError):
+class UnknownNameError(InputError):
     """A command referenced a scenario object that does not exist."""

@@ -4,8 +4,11 @@ A measuring process couples the object space H to a probe space K: probe
 state, coupling unitary, and a pointer observable on K.  The induced POVM,
 the three measurement predicates (state-dependent measurement, weak
 measurement, Born-rule reproduction on the cyclic subspace), their battery,
-the probe dilation of an arbitrary POVM, and the joint-measurability
-construction for simultaneously determinate pairs all live here.
+the state-independent check against the POVM, the probe dilation of an
+arbitrary POVM, and the joint-measurability construction for simultaneously
+determinate pairs all live here.  Both batteries return the package's one
+``ClauseReport`` (from ``qlogic.states``), which raises InconsistentBattery
+when the clauses disagree.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .commutators import com_observables
 from .errors import (
     CrossCheckFailure,
     DimensionMismatchError,
-    InconsistentBattery,
     NotAPOVMError,
     NotUnitaryError,
     QLogicError,
@@ -28,9 +30,11 @@ from .linalg import dagger, kron, matrices_commute, opnorm, partial_trace_second
 from .observables import Observable, embed_first, embed_second, heisenberg, spectral_decompose
 from .projectors import Projector
 from .states import (
+    ClauseReport,
     DensityState,
     cyclic_projector,
     equal_in_state,
+    merged_values,
     projector_probability,
     simultaneously_determinate,
 )
@@ -191,17 +195,6 @@ def measures_in_state(process: MeasuringProcess, observable: Observable,
     return equal_in_state(embedded, process.meter_after, joint, t)
 
 
-def _atom_values(process_values: Sequence[float], spectrum: Sequence[float],
-                 width: float) -> list[float]:
-    merged = sorted(set(float(v) for v in process_values) | set(float(v) for v in spectrum))
-    out: list[float] = []
-    for v in merged:
-        if out and v - out[-1] <= width:
-            continue
-        out.append(v)
-    return out
-
-
 def weakly_measures(process: MeasuringProcess, observable: Observable,
                     state: DensityState, tol: ToleranceConfig | None = None) -> bool:
     """Weak joint distribution of pointer and object values is diagonal.
@@ -212,7 +205,7 @@ def weakly_measures(process: MeasuringProcess, observable: Observable,
     t = tol or process.tol
     povm = povm_of_process(process)
     width = max(observable.snap_width, process.meter_after.snap_width)
-    atoms = _atom_values(povm.outcomes, observable.spectrum, width)
+    atoms = merged_values(povm.outcomes, observable.spectrum, width)
     for m in atoms:
         effect = povm.element(m, width)
         for a in atoms:
@@ -238,7 +231,7 @@ def satisfies_bsf(process: MeasuringProcess, observable: Observable,
     cyclic = cyclic_projector([observable], state, t)
     povm = povm_of_process(process)
     width = max(observable.snap_width, process.meter_after.snap_width)
-    atoms = _atom_values(povm.outcomes, observable.spectrum, width)
+    atoms = merged_values(povm.outcomes, observable.spectrum, width)
     for v in atoms:
         gap = povm.element(v, width) - observable.eigenprojector_at(v).matrix
         if opnorm(cyclic.matrix @ gap @ cyclic.matrix) > t.assert_tol:
@@ -246,24 +239,9 @@ def satisfies_bsf(process: MeasuringProcess, observable: Observable,
     return True
 
 
-@dataclass
-class MeasurementReport:
-    """The three measurement predicates, which must agree."""
-
-    clauses: dict[str, bool]
-
-    @property
-    def coherent(self) -> bool:
-        return len(set(self.clauses.values())) == 1
-
-    @property
-    def measures(self) -> bool:
-        return all(self.clauses.values())
-
-
 def measurement_battery(process: MeasuringProcess, observable: Observable,
                         state: DensityState,
-                        tol: ToleranceConfig | None = None) -> MeasurementReport:
+                        tol: ToleranceConfig | None = None) -> ClauseReport:
     """Evaluate the three equivalent measurement predicates independently."""
     t = tol or process.tol
     clauses = {
@@ -271,52 +249,30 @@ def measurement_battery(process: MeasuringProcess, observable: Observable,
         "weak_joint_distribution": weakly_measures(process, observable, state, t),
         "born_on_cyclic": satisfies_bsf(process, observable, state, t),
     }
-    report = MeasurementReport(clauses)
-    if not report.coherent:
-        raise InconsistentBattery(f"measurement clauses disagree: {clauses}", report)
-    return report
-
-
-@dataclass
-class GlobalMeasurementReport:
-    """State-independent measurement versus the POVM identity."""
-
-    all_states_measure: bool
-    povm_is_spectral: bool
-    worst_effect_gap: float
-
-    @property
-    def coherent(self) -> bool:
-        return self.all_states_measure == self.povm_is_spectral
-
-    @property
-    def measures_globally(self) -> bool:
-        return self.all_states_measure and self.povm_is_spectral
+    return ClauseReport.checked("measurement", clauses)
 
 
 def global_measurement_check(process: MeasuringProcess, observable: Observable,
                              states: Sequence[DensityState],
-                             tol: ToleranceConfig | None = None) -> GlobalMeasurementReport:
+                             tol: ToleranceConfig | None = None) -> ClauseReport:
     """The process measures in every state iff its POVM is the spectral measure.
 
-    The state sample must span the Hermitian operators for the left side to
-    be a faithful stand-in for "every state"; `spanning_state_sample`
-    provides such a sample.
+    Clauses ``all_states_measure`` and ``povm_is_spectral``; the residual of
+    the latter is the worst effect gap.  The state sample must span the
+    Hermitian operators for the first clause to be a faithful stand-in for
+    "every state"; `spanning_state_sample` provides such a sample.
     """
     t = tol or process.tol
     all_measure = all(measures_in_state(process, observable, s, t) for s in states)
     povm = povm_of_process(process)
     width = max(observable.snap_width, process.meter_after.snap_width)
-    atoms = _atom_values(povm.outcomes, observable.spectrum, width)
+    atoms = merged_values(povm.outcomes, observable.spectrum, width)
     worst = 0.0
     for v in atoms:
         worst = max(worst, opnorm(povm.element(v, width)
                                   - observable.eigenprojector_at(v).matrix))
-    report = GlobalMeasurementReport(all_measure, worst <= t.assert_tol, worst)
-    if not report.coherent:
-        raise InconsistentBattery(
-            f"global measurement clauses disagree (gap {worst:.3e})", report)
-    return report
+    clauses = {"all_states_measure": all_measure, "povm_is_spectral": worst <= t.assert_tol}
+    return ClauseReport.checked("global measurement", clauses, {"povm_is_spectral": worst})
 
 
 def spanning_state_sample(dim: int, tol: ToleranceConfig = DEFAULT_TOL) -> list[DensityState]:
@@ -478,8 +434,8 @@ def simultaneous_measurability(first: Observable, second: Observable,
 
     first_process = apply_outcome_function(witness, first_codes, name=f"{first.name}-pointer")
     second_process = apply_outcome_function(witness, second_codes, name=f"{second.name}-pointer")
-    first_measures = measurement_battery(first_process, first, state, t).measures
-    second_measures = measurement_battery(second_process, second, state, t).measures
+    first_measures = measurement_battery(first_process, first, state, t).holds
+    second_measures = measurement_battery(second_process, second, state, t).holds
 
     joint_cyclic = cyclic_projector([first, second], state, t)
     joint_ok = _marginals_match(compressed_first, first, joint_cyclic, t) and \
@@ -500,7 +456,7 @@ def _marginals_match(compressed: Observable, original: Observable,
                      cyclic: Projector, t: ToleranceConfig) -> bool:
     """Marginal effects agree with the original spectral measure on a subspace."""
     width = max(compressed.snap_width, original.snap_width)
-    atoms = _atom_values(compressed.spectrum, original.spectrum, width)
+    atoms = merged_values(compressed.spectrum, original.spectrum, width)
     for v in atoms:
         gap = (compressed.eigenprojector_at(v).matrix
                - original.eigenprojector_at(v).matrix) @ cyclic.matrix

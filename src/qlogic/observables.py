@@ -279,7 +279,7 @@ def spectral_decompose(name: str, matrix, tol: ToleranceConfig = DEFAULT_TOL) ->
 def embed_first(x: Observable, dim_second: int) -> Observable:
     """X (x) 1 on the product space, reusing the exact spectral data."""
     eye = np.eye(dim_second, dtype=complex)
-    projectors = [Projector(kron_basis(p.basis, eye), dim=x.dim * dim_second, tol=x.tol)
+    projectors = [Projector(np.kron(p.basis, eye), dim=x.dim * dim_second, tol=x.tol)
                   for p in x.eigenprojectors]
     return Observable(x.name, kron(x.matrix, eye), x.spectrum, projectors, x.tol)
 
@@ -287,14 +287,9 @@ def embed_first(x: Observable, dim_second: int) -> Observable:
 def embed_second(m: Observable, dim_first: int) -> Observable:
     """1 (x) M on the product space, reusing the exact spectral data."""
     eye = np.eye(dim_first, dtype=complex)
-    projectors = [Projector(kron_basis(eye, p.basis), dim=dim_first * m.dim, tol=m.tol)
+    projectors = [Projector(np.kron(eye, p.basis), dim=dim_first * m.dim, tol=m.tol)
                   for p in m.eigenprojectors]
     return Observable(m.name, kron(eye, m.matrix), m.spectrum, projectors, m.tol)
-
-
-def kron_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of column stacks; orthonormal in, orthonormal out."""
-    return np.kron(a, b)
 
 
 def heisenberg(x: Observable, unitary, tol: ToleranceConfig | None = None) -> Observable:

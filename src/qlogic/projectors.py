@@ -115,13 +115,6 @@ def _resolve(tol: ToleranceConfig | None, p: Projector) -> ToleranceConfig:
     return tol if tol is not None else p.tol
 
 
-def null_space_projector(matrix, tol: ToleranceConfig = DEFAULT_TOL,
-                         scale_floor: float = 0.0) -> Projector:
-    """Projector onto the null space of a square matrix."""
-    m = require_square(matrix)
-    return Projector(kernel_basis(m, tol, scale_floor), dim=m.shape[0], tol=tol)
-
-
 def common_null_space_projector(matrices: Sequence[np.ndarray],
                                 dim: int | None = None,
                                 tol: ToleranceConfig = DEFAULT_TOL,
@@ -145,12 +138,6 @@ def common_null_space_projector(matrices: Sequence[np.ndarray],
     if dim is not None and dim != n:
         raise DimensionMismatchError(f"constraints act on dimension {n}, expected {dim}")
     return Projector(solution_basis(np.vstack(mats), n, tol, scale_floor), dim=n, tol=tol)
-
-
-def column_space_projector(columns, dim: int | None = None,
-                           tol: ToleranceConfig = DEFAULT_TOL) -> Projector:
-    """Projector onto the span of the given columns; empty input gives zero."""
-    return Projector.from_basis(columns, dim=dim, tol=tol)
 
 
 def meet(p: Projector, q: Projector, tol: ToleranceConfig | None = None) -> Projector:
@@ -228,7 +215,7 @@ def join_all(projectors: Sequence[Projector], dim: int | None = None,
         return Projector.zero(dim, tol)
     d = _require_same_dim(*projectors)
     stacked = np.hstack([p.basis for p in projectors])
-    return column_space_projector(stacked, dim=d, tol=tol)
+    return Projector.from_basis(stacked, dim=d, tol=tol)
 
 
 def leq(p: Projector, q: Projector, tol: ToleranceConfig | None = None) -> bool:

@@ -91,8 +91,7 @@ def _as_matrix(value, path: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _state_from_spec(spec, path: str, name: str, dim: int,
-                     tol: ToleranceConfig) -> DensityState:
+def _state_from_spec(spec, path: str, dim: int, tol: ToleranceConfig) -> DensityState:
     _expect(isinstance(spec, dict), path, "expected an object")
     keys = set(spec)
     _expect(keys in ({"matrix"}, {"vector"}), path,
@@ -102,17 +101,17 @@ def _state_from_spec(spec, path: str, name: str, dim: int,
             vector = _as_vector(spec["vector"], f"{path}.vector")
             if vector.shape[0] != dim:
                 raise ScenarioValidationError(
-                    name, f"vector has dimension {vector.shape[0]}, expected {dim}")
+                    path, f"vector has dimension {vector.shape[0]}, expected {dim}")
             return DensityState.from_vector(vector, tol)
         matrix = _as_matrix(spec["matrix"], f"{path}.matrix")
         if matrix.shape != (dim, dim):
             raise ScenarioValidationError(
-                name, f"matrix has shape {matrix.shape}, expected ({dim}, {dim})")
+                path, f"matrix has shape {matrix.shape}, expected ({dim}, {dim})")
         return DensityState.from_matrix(matrix, tol)
     except (QLogicError, ValueError) as exc:
         if isinstance(exc, (ScenarioValidationError, ScenarioParseError)):
             raise
-        raise ScenarioValidationError(name, str(exc)) from exc
+        raise ScenarioValidationError(path, str(exc)) from exc
 
 
 def load_scenario(path: str, tol: ToleranceConfig = DEFAULT_TOL) -> Scenario:
@@ -153,15 +152,15 @@ def scenario_from_document(document, tol: ToleranceConfig = DEFAULT_TOL) -> Scen
         matrix = _as_matrix(spec["matrix"], f"{obs_path}.matrix")
         if matrix.shape != (dim, dim):
             raise ScenarioValidationError(
-                name, f"matrix has shape {matrix.shape}, expected ({dim}, {dim})")
+                obs_path, f"matrix has shape {matrix.shape}, expected ({dim}, {dim})")
         try:
             observables[name] = spectral_decompose(name, matrix, tol)
         except QLogicError as exc:
-            raise ScenarioValidationError(name, str(exc)) from exc
+            raise ScenarioValidationError(obs_path, str(exc)) from exc
 
     states: dict[str, DensityState] = {}
     for name, spec in _named_section(document, "states").items():
-        states[name] = _state_from_spec(spec, f"$.states.{name}", name, dim, tol)
+        states[name] = _state_from_spec(spec, f"$.states.{name}", dim, tol)
 
     propositions: dict[str, object] = {}
     sources: dict[str, str] = {}
@@ -199,16 +198,17 @@ def _process_from_spec(spec, path: str, name: str, dim: int,
     dim_k = spec["dimK"]
     _expect(isinstance(dim_k, int) and not isinstance(dim_k, bool) and dim_k >= 1,
             f"{path}.dimK", "expected a positive integer")
-    sigma = _state_from_spec(spec["sigma"], f"{path}.sigma", f"{name}.sigma", dim_k, tol)
+    sigma = _state_from_spec(spec["sigma"], f"{path}.sigma", dim_k, tol)
     unitary = _as_matrix(spec["U"], f"{path}.U")
     meter_matrix = _as_matrix(spec["M"], f"{path}.M")
     if meter_matrix.shape != (dim_k, dim_k):
         raise ScenarioValidationError(
-            f"{name}.M", f"matrix has shape {meter_matrix.shape}, expected ({dim_k}, {dim_k})")
+            f"{path}.M", f"matrix has shape {meter_matrix.shape}, expected ({dim_k}, {dim_k})")
     try:
         meter = spectral_decompose(f"{name}.M", meter_matrix, tol)
+    except QLogicError as exc:
+        raise ScenarioValidationError(f"{path}.M", str(exc)) from exc
+    try:
         return MeasuringProcess(dim, sigma, unitary, meter, tol=tol)
-    except (QLogicError, ValueError) as exc:
-        if isinstance(exc, (ScenarioValidationError, ScenarioParseError)):
-            raise
-        raise ScenarioValidationError(name, str(exc)) from exc
+    except QLogicError as exc:
+        raise ScenarioValidationError(path, str(exc)) from exc

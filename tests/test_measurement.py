@@ -141,13 +141,13 @@ def test_cnot_measures_z_everywhere(rng, pauli_z):
         assert weakly_measures(process, pauli_z, state)
         assert satisfies_bsf(process, pauli_z, state)
         report = measurement_battery(process, pauli_z, state)
-        assert report.coherent and report.measures
+        assert report.coherent and report.holds
 
 
 def test_cnot_does_not_measure_x(pauli_x):
     report = measurement_battery(cnot_process(), pauli_x, up_state())
     assert report.coherent
-    assert not report.measures
+    assert not report.holds
     assert not any(report.clauses.values())
 
 
@@ -155,12 +155,12 @@ def test_global_measurement_check(pauli_z, pauli_x):
     process = cnot_process()
     sample = spanning_state_sample(2)
     good = global_measurement_check(process, pauli_z, sample)
-    assert good.measures_globally
-    assert good.worst_effect_gap < 1e-10
+    assert good.holds
+    assert good.residuals["povm_is_spectral"] < 1e-10
     bad = global_measurement_check(process, pauli_x, sample)
     assert bad.coherent
-    assert not bad.measures_globally
-    assert bad.worst_effect_gap > 0.1
+    assert not bad.holds
+    assert bad.residuals["povm_is_spectral"] > 0.1
 
 
 def test_spanning_state_sample_spans_hermitian_space():
@@ -180,7 +180,7 @@ def test_naimark_round_trip_sharp(pauli_z):
     induced = povm_of_process(process)
     assert opnorm(induced.element(1.0) - np.diag([1.0, 0.0])) < 1e-8
     assert opnorm(induced.element(-1.0) - np.diag([0.0, 1.0])) < 1e-8
-    assert global_measurement_check(process, pauli_z, spanning_state_sample(2)).measures_globally
+    assert global_measurement_check(process, pauli_z, spanning_state_sample(2)).holds
 
 
 def test_naimark_round_trip_random_povm(rng):

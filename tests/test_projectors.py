@@ -10,7 +10,6 @@ from qlogic.errors import DimensionMismatchError
 from qlogic.linalg import dagger, opnorm
 from qlogic.projectors import (
     Projector,
-    column_space_projector,
     common_null_space_projector,
     commutes,
     family_commutes,
@@ -22,7 +21,6 @@ from qlogic.projectors import (
     meet_all,
     meet_each,
     meet_weak_limit,
-    null_space_projector,
     ortho,
     sasaki_implies,
 )
@@ -77,15 +75,8 @@ def test_isclose_requires_same_space():
 # kernels and ranges
 
 
-def test_null_space_projector():
-    m = np.diag([0.0, 1.0, 0.0]).astype(complex)
-    p = null_space_projector(m)
-    assert p.rank == 2
-    assert opnorm(m @ p.matrix) < 1e-12
-
-
 def test_column_space_projector():
-    p = column_space_projector(np.array([[1.0], [1.0]]) / np.sqrt(2))
+    p = Projector.from_basis(np.array([[1.0], [1.0]]) / np.sqrt(2))
     assert p.rank == 1
     assert p.isclose(x_plus())
 

@@ -55,10 +55,10 @@ def test_scenario_observable_errors(qubit_document):
     with pytest.raises(ScenarioParseError, match=r"\$\.observables\.Z"):
         scenario_from_document(doc)
     doc["observables"] = {"Z": {"matrix": pairs(np.eye(3))}}
-    with pytest.raises(ScenarioValidationError, match="expected"):
+    with pytest.raises(ScenarioValidationError, match=r"^\$\.observables\.Z: .*expected"):
         scenario_from_document(doc)
     doc["observables"] = {"Z": {"matrix": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}}
-    with pytest.raises(ScenarioValidationError, match="Hermitian"):
+    with pytest.raises(ScenarioValidationError, match=r"^\$\.observables\.Z: .*Hermitian"):
         scenario_from_document(doc)
 
 
@@ -92,10 +92,10 @@ def test_scenario_state_errors(qubit_document):
     with pytest.raises(ScenarioParseError, match="exactly one"):
         scenario_from_document(doc)
     doc["states"] = {"bad": {"vector": vector_pairs([1.0, 0.0, 0.0])}}
-    with pytest.raises(ScenarioValidationError, match="dimension 3"):
+    with pytest.raises(ScenarioValidationError, match=r"^\$\.states\.bad: .*dimension 3"):
         scenario_from_document(doc)
     doc["states"] = {"bad": {"matrix": pairs(np.eye(2))}}
-    with pytest.raises(ScenarioValidationError, match="trace"):
+    with pytest.raises(ScenarioValidationError, match=r"^\$\.states\.bad: .*trace"):
         scenario_from_document(doc)
 
 
@@ -114,6 +114,18 @@ def test_scenario_process_errors(qubit_document):
     doc["processes"] = {"p": {"dimK": 2}}
     with pytest.raises(ScenarioParseError, match="exactly the keys"):
         scenario_from_document(doc)
+    pointer = qubit_document["processes"]["pointer"]
+    invalid = {
+        "$.processes.p": {"U": pairs(2 * np.eye(4))},
+        "$.processes.p.M": {"M": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]},
+        "$.processes.p.sigma": {"sigma": {"matrix": pairs(np.eye(2))}},
+    }
+    for path, change in invalid.items():
+        doc["processes"] = {"p": {**pointer, **change}}
+        with pytest.raises(ScenarioValidationError) as caught:
+            scenario_from_document(doc)
+        assert caught.value.path == path
+        assert str(caught.value).startswith(f"{path}: ")
 
 
 def test_load_scenario_file_errors(tmp_path):
@@ -243,7 +255,7 @@ def test_cli_overflowing_observable_exits_2(qubit_document, tmp_path, entries):
     result = run_cli(["prob", str(path), "zpos", "up"])
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
-    assert result.stderr.startswith("error: Z: ")
+    assert result.stderr.startswith("error: $.observables.Z: ")
     assert "overflow" in result.stderr
 
 

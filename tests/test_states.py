@@ -252,9 +252,9 @@ def test_determinateness_battery_positive(rng):
     rho = DensityState.maximally_mixed(4)
     report = determinateness_battery(xs, rho)
     assert report.coherent
-    assert report.determinate
+    assert report.holds
     assert all(report.clauses.values())
-    assert report.com.rank == 4
+    assert report.projector.rank == 4
     assert report.distribution is not None
     assert report.distribution.total_mass == pytest.approx(1.0)
     assert set(report.clauses) == {
@@ -266,10 +266,10 @@ def test_determinateness_battery_positive(rng):
 def test_determinateness_battery_negative(pauli_z, pauli_x):
     report = determinateness_battery([pauli_z, pauli_x], DensityState.maximally_mixed(2))
     assert report.coherent
-    assert not report.determinate
+    assert not report.holds
     assert not any(report.clauses.values())
     assert report.distribution is None
-    assert report.com.rank == 0
+    assert report.projector.rank == 0
 
 
 def test_determinateness_battery_block_state():
@@ -283,11 +283,11 @@ def test_determinateness_battery_block_state():
     xs = [spectral_decompose("A", a), spectral_decompose("B", b)]
     sector_state = DensityState.from_matrix(np.diag([0.0, 0.0, 0.5, 0.5]).astype(complex))
     report = determinateness_battery(xs, sector_state)
-    assert report.determinate
+    assert report.holds
     marg = report.distribution.marginal(0)
     assert marg == pytest.approx({-1.0: 0.0, 1.0: 0.0, 3.0: 0.5, 4.0: 0.5}, abs=1e-10)
     outside = DensityState.maximally_mixed(4)
-    assert not determinateness_battery(xs, outside).determinate
+    assert not determinateness_battery(xs, outside).holds
 
 
 def test_determinateness_joint_distribution_matches_born(rng):
@@ -395,7 +395,7 @@ def test_bell_state_equality(bell):
     # The Bell state is a witness: perfectly correlated, probability one.
     assert projector_probability(q, bell) >= 1.0 - 1e-10
     report = equality_battery(first, second, bell)
-    assert report.equal
+    assert report.holds
     assert report.coherent
 
 
@@ -404,7 +404,7 @@ def test_equality_battery_negative(bell):
     x_second = embed_second(spectral_decompose("X2", SIGMA_X), 2)
     report = equality_battery(first, x_second, bell)
     assert report.coherent
-    assert not report.equal
+    assert not report.holds
     assert not any(report.clauses.values())
 
 
@@ -417,7 +417,7 @@ def test_equality_battery_clause_names():
         "expectations_agree_on_cyclic", "spectral_action_on_state",
         "cyclic_subspaces_match", "diagonal_concentration",
     }
-    assert report.equal
+    assert report.holds
 
 
 def test_equivalence_relation_fixtures():
@@ -492,7 +492,7 @@ _WALL_CHILD = textwrap.dedent("""
     state = random_density(16, rng)
     start = time.process_time()
     report = determinateness_battery(xs, state)
-    print("determinate", report.determinate)
+    print("determinate", report.holds)
     print(time.process_time() - start)
 """)
 
