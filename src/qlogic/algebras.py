@@ -54,6 +54,10 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 # is closed by construction, and the capped pairs catch a broken solve.
 _CLOSURE_CHECK_CAP = 2048
 
+# Random central combinations minimal_central_projections draws before it gives
+# up; each one separates the central blocks with probability one.
+_CENTRAL_ATTEMPTS = 5
+
 # The last algebra algebra_from_generators built, with its key.  The repeats
 # callers make come right after the build they repeat (determinateness_battery
 # builds one family in com_observables, cyclic_projector and its own body), so
@@ -107,7 +111,7 @@ def commutant(generators: Sequence[np.ndarray], dim: int,
         if g.shape[0] != dim:
             raise DimensionMismatchError(f"generator of dimension {g.shape[0]}, expected {dim}")
     system = _commutation_system(mats, dim)
-    basis_vectors = solution_basis(system, dim * dim, tol, scale_floor=1.0)
+    basis_vectors = solution_basis(system, dim * dim, tol)
     basis = [basis_vectors[:, k].reshape(dim, dim) for k in range(basis_vectors.shape[1])]
     if not _span_contains(basis_vectors, _vec(np.eye(dim, dtype=complex))[:, None], tol):
         raise QLogicError("commutant basis does not span the identity")
@@ -274,7 +278,7 @@ def center(algebra: MatrixAlgebra, tol: ToleranceConfig | None = None) -> list[n
     a, b = _stack(algebra.basis), _stack(algebra.commutant_basis)
     eye = np.eye(n2, dtype=complex)
     gap = (eye - a @ dagger(a)) + (eye - b @ dagger(b))
-    vectors = solution_basis(gap, n2, t, scale_floor=1.0)
+    vectors = solution_basis(gap, n2, t)
     return [vectors[:, k].reshape(algebra.dim, algebra.dim) for k in range(vectors.shape[1])]
 
 
@@ -292,8 +296,7 @@ def _cluster_indices(values: np.ndarray, width: float) -> list[np.ndarray]:
 
 
 def minimal_central_projections(algebra: MatrixAlgebra,
-                                tol: ToleranceConfig | None = None,
-                                attempts: int = 5) -> list[Projector]:
+                                tol: ToleranceConfig | None = None) -> list[Projector]:
     """The minimal projections of the center, ordered by first eigenvalue.
 
     A random Hermitian combination of the center basis separates the central
@@ -312,7 +315,7 @@ def minimal_central_projections(algebra: MatrixAlgebra,
         raise QLogicError("center span contains no Hermitian part")
     rng = np.random.default_rng(0x5EED)
     failure = "no attempt made"
-    for _ in range(attempts):
+    for _ in range(_CENTRAL_ATTEMPTS):
         coeffs = rng.standard_normal(len(hermitian_parts))
         h = sum(c * part for c, part in zip(coeffs, hermitian_parts))
         try:
@@ -328,7 +331,8 @@ def minimal_central_projections(algebra: MatrixAlgebra,
         if ok:
             return candidates
     raise DegenerateRandomizationError(
-        f"minimal central projections not separated after {attempts} attempts: {failure}")
+        f"minimal central projections not separated after {_CENTRAL_ATTEMPTS} attempts: "
+        f"{failure}")
 
 
 def _verify_minimal_central(candidates: list[Projector], algebra: MatrixAlgebra,

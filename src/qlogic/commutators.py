@@ -87,7 +87,7 @@ def com_kernel(family: Sequence[Projector], tol: ToleranceConfig = DEFAULT_TOL) 
     # the constraint blocks.
     blocks = [(commutator(cube[i], cube[i + 1:])[:, None] @ cube).reshape(-1, dim)
               for i in range(len(cube) - 1)]
-    return common_null_space_projector(blocks, dim, tol, scale_floor=1.0)
+    return common_null_space_projector(blocks, dim, tol)
 
 
 def threshold_family(observables: Sequence[Observable]) -> list[Projector]:
@@ -96,8 +96,7 @@ def threshold_family(observables: Sequence[Observable]) -> list[Projector]:
 
 
 def com_observables(observables: Sequence[Observable],
-                    tol: ToleranceConfig = DEFAULT_TOL,
-                    cross_check: bool = True) -> Projector:
+                    tol: ToleranceConfig = DEFAULT_TOL) -> Projector:
     """Commutator of finitely many observables.
 
     Production route: the triple-product kernel over the cumulative spectral
@@ -110,12 +109,11 @@ def com_observables(observables: Sequence[Observable],
     """
     xs = list(observables)
     spectral_route = com_kernel(threshold_family(xs), tol)
-    if cross_check:
-        algebra_route = _algebra_route([x.matrix for x in xs], xs[0].dim, tol)
-        gap = opnorm(spectral_route.matrix - algebra_route.matrix)
-        if gap > tol.assert_tol:
-            raise CrossCheckFailure(
-                f"commutator routes disagree by {gap:.3e} on {[x.name for x in xs]}")
+    algebra_route = _algebra_route([x.matrix for x in xs], xs[0].dim, tol)
+    gap = opnorm(spectral_route.matrix - algebra_route.matrix)
+    if gap > tol.assert_tol:
+        raise CrossCheckFailure(
+            f"commutator routes disagree by {gap:.3e} on {[x.name for x in xs]}")
     return spectral_route
 
 
@@ -126,7 +124,7 @@ def _algebra_route(gens: Sequence[np.ndarray], dim: int, tol: ToleranceConfig) -
     letters = [m / scale for g, scale in zip(gens, opnorms(gens)) if scale != 0.0
                for m in (g, dagger(g))]
     blocks = [commutator(basis, g).reshape(-1, dim) for g in letters]
-    return common_null_space_projector(blocks, dim, tol, scale_floor=1.0)
+    return common_null_space_projector(blocks, dim, tol)
 
 
 @dataclass

@@ -9,10 +9,15 @@ pairs of a family, formed one stacked row of pairs at a time.  The batched
 forms give each matrix the bits ``opnorm`` gives it.  Likewise
 ``solution_bases`` solves a stack of equal-shape homogeneous systems in one
 batched SVD call and gives each system the bits ``solution_basis`` gives it.
-Every SVD here that fails to converge raises ``FactorizationError``.
+Every SVD here that fails to converge raises ``NonFiniteError`` when its input
+holds a non-finite entry and ``FactorizationError`` otherwise, and a norm that
+is not finite raises ``NonFiniteError``, so no ``opnorm(...) > tol`` guard can
+pass on NaN.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -46,12 +51,30 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).T
 
 
+def _svd_failure(a: np.ndarray, exc: np.linalg.LinAlgError) -> QLogicError:
+    """The typed error for an SVD of ``a`` that did not converge."""
+    if not np.isfinite(a).all():
+        return NonFiniteError(f"a {a.shape} array has non-finite entries")
+    return FactorizationError(f"SVD of a {a.shape} array did not converge: {exc}")
+
+
 def _svd(a: np.ndarray, **options):
-    """``np.linalg.svd``, with non-convergence raised as FactorizationError."""
+    """``np.linalg.svd``, with non-convergence raised as a typed error."""
     try:
         return np.linalg.svd(a, **options)
     except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"SVD of a {a.shape} array did not converge: {exc}") from exc
+        raise _svd_failure(a, exc) from exc
+
+
+def _non_finite_norm(a: np.ndarray) -> NonFiniteError:
+    """The error for an operator norm of ``a`` that came out NaN or infinite.
+
+    Callers check the norm, not the entries: an infinite entry gives a NaN or
+    infinite norm, and so do finite entries whose norm overflows.
+    """
+    if np.isfinite(a).all():
+        return NonFiniteError(f"the operator norm of a {a.shape} array overflows")
+    return NonFiniteError(f"a {a.shape} array has non-finite entries")
 
 
 def opnorm(m) -> float:
@@ -59,7 +82,13 @@ def opnorm(m) -> float:
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    try:
+        norm = float(np.linalg.norm(m, 2))
+    except np.linalg.LinAlgError as exc:
+        raise _svd_failure(m, exc) from exc
+    if not math.isfinite(norm):
+        raise _non_finite_norm(m)
+    return norm
 
 
 def opnorms(stack) -> np.ndarray:
@@ -67,7 +96,10 @@ def opnorms(stack) -> np.ndarray:
     s = np.asarray(stack, dtype=complex)
     if s.size == 0:
         return np.zeros(len(s))
-    return _svd(s, compute_uv=False)[:, 0]
+    norms = _svd(s, compute_uv=False)[:, 0]
+    if not np.isfinite(norms).all():
+        raise _non_finite_norm(s)
+    return norms
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -110,12 +142,12 @@ def hermitian_eig(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarra
     if not np.isfinite(m).all():
         raise NonFiniteError("matrix has non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = max(1.0, opnorm(m))
         skew = m - dagger(m)
         sym = (m + dagger(m)) / 2.0
-    if not (np.isfinite(scale) and np.isfinite(skew).all() and np.isfinite(sym).all()):
+    if not (np.isfinite(skew).all() and np.isfinite(sym).all()):
         raise NonFiniteError(f"matrix entries of size {np.max(np.abs(m)):.3e} overflow"
-                             " its norm or symmetrization")
+                             " its symmetrization")
+    scale = max(1.0, opnorm(m))
     skew_norm = opnorm(skew)
     if skew_norm > tol.assert_tol * scale:
         raise NotHermitianError(f"matrix is {skew_norm:.3e} from Hermitian")
@@ -134,35 +166,34 @@ def singular_cutoff(singular_values: np.ndarray, dim: int, tol: ToleranceConfig,
                     scale_floor: float = 0.0) -> float:
     """Rank cutoff: rank_rel_tol relative to largest singular value times dimension.
 
-    ``scale_floor`` raises the reference scale when the caller knows the
-    natural scale of its operator (projector sums have scale one); without it
-    a matrix that is pure numerical noise would have its noise ranked.
+    ``scale_floor`` raises the reference scale: the kernel solvers pass
+    ``_KERNEL_SCALE``, and ``range_basis`` keeps the unfloored rule.
     """
     if singular_values.size == 0:
         return 0.0
     return tol.rank_rel_tol * max(float(singular_values[0]), scale_floor) * dim
 
 
-def kernel_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL,
-                 scale_floor: float = 0.0) -> np.ndarray:
-    """Orthonormal columns spanning the null space of a square matrix.
+# Every kernel solve floors the reference scale of its rank cutoff at one.
+# The systems solved here are normalized to scale one (projector differences,
+# commutators of unit-norm letters, span complements), so a system that is
+# pure numerical noise gets a full null space instead of having its noise
+# ranked.
+_KERNEL_SCALE = 1.0
 
-    Membership is judged by singular values below the rank_rel_tol cutoff,
-    so non-Hermitian inputs need no special casing.
-    """
+
+def kernel_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal columns spanning the null space of a square matrix."""
     m = require_square(matrix)
-    n = m.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    _, s, vh = _svd(m)
-    cutoff = singular_cutoff(s, n, tol, scale_floor)
-    null_mask = s <= cutoff
-    return dagger(vh)[:, null_mask]
+    return solution_basis(m, m.shape[0], tol)
 
 
-def solution_basis(system, unknowns: int, tol: ToleranceConfig = DEFAULT_TOL,
-                   scale_floor: float = 0.0) -> np.ndarray:
-    """Orthonormal basis of the solution space of A x = 0 for rectangular A."""
+def solution_basis(system, unknowns: int, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the solution space of A x = 0 for rectangular A.
+
+    Membership is judged by singular values at or below the floored
+    rank_rel_tol cutoff, so non-Hermitian systems need no special casing.
+    """
     a = np.asarray(system, dtype=complex)
     if a.ndim != 2 or a.shape[1] != unknowns:
         raise DimensionMismatchError(f"system shape {a.shape} does not match {unknowns} unknowns")
@@ -174,18 +205,18 @@ def solution_basis(system, unknowns: int, tol: ToleranceConfig = DEFAULT_TOL,
         # would be quadratic in the row count.
         a = np.vstack([a, np.zeros((unknowns - a.shape[0], unknowns), dtype=complex)])
     _, s, vh = _svd(a, full_matrices=False)
-    cutoff = singular_cutoff(s, unknowns, tol, scale_floor)
+    cutoff = singular_cutoff(s, unknowns, tol, _KERNEL_SCALE)
     rank = int(np.count_nonzero(s > cutoff))
     return dagger(vh)[:, rank:]
 
 
-def solution_bases(systems, unknowns: int, tol: ToleranceConfig = DEFAULT_TOL,
-                    scale_floor: float = 0.0) -> list[np.ndarray]:
+def solution_bases(systems, unknowns: int,
+                   tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
     """``solution_basis`` of each system in a stack of equal-shape systems.
 
     The stack is factored in one batched SVD call, and each system gets the
     bits ``solution_basis`` gives it: the same padding, factorization and
-    ``singular_cutoff``.
+    cutoff.
     """
     a = np.asarray(systems, dtype=complex)
     if a.ndim != 3 or a.shape[2] != unknowns:
@@ -199,7 +230,7 @@ def solution_bases(systems, unknowns: int, tol: ToleranceConfig = DEFAULT_TOL,
     _, s, vh = _svd(a, full_matrices=False)
     bases = []
     for values, right in zip(s, vh):
-        cutoff = singular_cutoff(values, unknowns, tol, scale_floor)
+        cutoff = singular_cutoff(values, unknowns, tol, _KERNEL_SCALE)
         rank = int(np.count_nonzero(values > cutoff))
         bases.append(dagger(right)[:, rank:])
     return bases

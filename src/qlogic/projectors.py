@@ -9,7 +9,7 @@ idempotence never drifts.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -117,8 +117,7 @@ def _resolve(tol: ToleranceConfig | None, p: Projector) -> ToleranceConfig:
 
 def common_null_space_projector(matrices: Sequence[np.ndarray],
                                 dim: int | None = None,
-                                tol: ToleranceConfig = DEFAULT_TOL,
-                                scale_floor: float = 0.0) -> Projector:
+                                tol: ToleranceConfig = DEFAULT_TOL) -> Projector:
     """Projector onto the joint null space of a family of constraint matrices.
 
     The constraints are stacked and factored together.  Summing M^dag M terms
@@ -137,16 +136,12 @@ def common_null_space_projector(matrices: Sequence[np.ndarray],
             raise DimensionMismatchError("constraint matrices act on different spaces")
     if dim is not None and dim != n:
         raise DimensionMismatchError(f"constraints act on dimension {n}, expected {dim}")
-    return Projector(solution_basis(np.vstack(mats), n, tol, scale_floor), dim=n, tol=tol)
+    return Projector(solution_basis(np.vstack(mats), n, tol), dim=n, tol=tol)
 
 
 def meet(p: Projector, q: Projector, tol: ToleranceConfig | None = None) -> Projector:
-    """Lattice meet: joint kernel of 1-P and 1-Q, the intersection of the ranges."""
-    t = _resolve(tol, p)
-    dim = _require_same_dim(p, q)
-    eye = np.eye(dim, dtype=complex)
-    return common_null_space_projector([eye - p.matrix, eye - q.matrix], dim, t,
-                                       scale_floor=1.0)
+    """Lattice meet: ``meet_all`` of the pair, the intersection of the ranges."""
+    return meet_all([p, q], tol=_resolve(tol, p))
 
 
 def meet_all(projectors: Sequence[Projector], dim: int | None = None,
@@ -159,8 +154,7 @@ def meet_all(projectors: Sequence[Projector], dim: int | None = None,
         return Projector.identity(dim, tol)
     d = _require_same_dim(*projectors)
     eye = np.eye(d, dtype=complex)
-    return common_null_space_projector([eye - p.matrix for p in projectors], d, tol,
-                                       scale_floor=1.0)
+    return common_null_space_projector([eye - p.matrix for p in projectors], d, tol)
 
 
 def meet_each(families: Sequence[Sequence[Projector]], dim: int,
@@ -182,7 +176,7 @@ def meet_each(families: Sequence[Sequence[Projector]], dim: int,
     systems = np.array([[eye - p.matrix for p in family] for family in families],
                        dtype=complex).reshape(len(families), rows, dim)
     return [Projector(basis, dim=dim, tol=tol)
-            for basis in solution_bases(systems, dim, tol, scale_floor=1.0)]
+            for basis in solution_bases(systems, dim, tol)]
 
 
 def ortho(p: Projector, tol: ToleranceConfig | None = None) -> Projector:
@@ -264,13 +258,3 @@ def meet_weak_limit(p: Projector, q: Projector, iterations: int = 200) -> np.nda
     # Hermitian even though each iterate is not.
     return (power + dagger(power)) / 2.0
 
-
-def family_commutes(projectors: Iterable[Projector],
-                    tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when every pair in the family commutes."""
-    ps = list(projectors)
-    for i in range(len(ps)):
-        for j in range(i + 1, len(ps)):
-            if not commutes(ps[i], ps[j], tol):
-                return False
-    return True

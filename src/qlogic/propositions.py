@@ -29,8 +29,6 @@ import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .commutators import com_observables
 from .errors import (
     DimensionMismatchError,

@@ -385,8 +385,7 @@ def merged_values(first: Iterable[float], second: Iterable[float],
 
 
 def equality_projector(x: Observable, y: Observable,
-                       tol: ToleranceConfig | None = None,
-                       cross_check: bool = True) -> Projector:
+                       tol: ToleranceConfig | None = None) -> Projector:
     """Truth projector of "X = Y": largest subspace where the spectral families agree.
 
     Production route: joint kernel of E_X(lambda) - E_Y(lambda) over the
@@ -399,16 +398,15 @@ def equality_projector(x: Observable, y: Observable,
     dim = x.dim
     cuts = merged_values(x.spectrum, y.spectrum, max(x.snap_width, y.snap_width))
     differences = [x.threshold(cut).matrix - y.threshold(cut).matrix for cut in cuts]
-    by_thresholds = common_null_space_projector(differences, dim, t, scale_floor=1.0)
-    if cross_check:
-        width = max(x.snap_width, y.snap_width)
-        crossings = [x.eigenprojector_at(a).matrix @ y.eigenprojector_at(b).matrix
-                     for a in x.spectrum for b in y.spectrum if abs(a - b) > width]
-        by_atoms = common_null_space_projector(crossings, dim, t, scale_floor=1.0)
-        gap = opnorm(by_thresholds.matrix - by_atoms.matrix)
-        if gap > t.assert_tol:
-            raise CrossCheckFailure(
-                f"equality projector routes disagree by {gap:.3e} on ({x.name}, {y.name})")
+    by_thresholds = common_null_space_projector(differences, dim, t)
+    width = max(x.snap_width, y.snap_width)
+    crossings = [x.eigenprojector_at(a).matrix @ y.eigenprojector_at(b).matrix
+                 for a in x.spectrum for b in y.spectrum if abs(a - b) > width]
+    by_atoms = common_null_space_projector(crossings, dim, t)
+    gap = opnorm(by_thresholds.matrix - by_atoms.matrix)
+    if gap > t.assert_tol:
+        raise CrossCheckFailure(
+            f"equality projector routes disagree by {gap:.3e} on ({x.name}, {y.name})")
     return by_thresholds
 
 

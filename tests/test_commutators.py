@@ -17,7 +17,7 @@ from qlogic.commutators import (
     threshold_family,
     verify_subcommutator,
 )
-from qlogic.errors import CrossCheckFailure, FamilyTooLargeError
+from qlogic.errors import FamilyTooLargeError
 from qlogic.linalg import commutator, opnorm
 from qlogic.observables import spectral_decompose
 from qlogic.projectors import Projector, common_null_space_projector
@@ -155,11 +155,16 @@ def test_com_observables_matches_projector_route():
     assert e.isclose(com_kernel(threshold_family(xs)))
 
 
-def test_com_observables_cross_check_toggle():
-    z = spectral_decompose("Z", SIGMA_Z)
-    x = spectral_decompose("X", SIGMA_X)
-    without = com_observables([z, x], cross_check=False)
-    assert without.rank == 0
+def test_com_observables_returns_the_spectral_route_bits(rng):
+    # The algebra route only checks; the result is the spectral kernel route's.
+    pauli = [spectral_decompose("Z", SIGMA_Z), spectral_decompose("X", SIGMA_X)]
+    commuting = random_commuting_observables(4, 3, rng)
+    block = random_block_observables([2, 3], [False, True], 2, rng)
+    for xs in (pauli, commuting, block):
+        ours = com_observables(xs)
+        spectral = com_kernel(threshold_family(xs))
+        assert np.array_equal(ours.basis, spectral.basis)
+        assert np.array_equal(ours.matrix, spectral.matrix)
 
 
 def _all_pairs_route(gens, dim, tol=DEFAULT_TOL):
@@ -168,7 +173,7 @@ def _all_pairs_route(gens, dim, tol=DEFAULT_TOL):
     basis = np.stack(algebra_from_generators(gens, dim, tol).basis)
     blocks = [commutator(basis[i], basis[i + 1:]).reshape(-1, dim)
               for i in range(len(basis) - 1)]
-    return common_null_space_projector(blocks, dim, tol, scale_floor=1.0)
+    return common_null_space_projector(blocks, dim, tol)
 
 
 def _observable_family(kind, dim, count, rng):
@@ -215,9 +220,9 @@ def test_generator_route_rows_grow_with_basis_times_generators(monkeypatch):
     seen = []
     original = commutators.common_null_space_projector
 
-    def recording(blocks, dim, tol, scale_floor):
+    def recording(blocks, dim, tol):
         seen.append(sum(len(b) for b in blocks))
-        return original(blocks, dim, tol, scale_floor)
+        return original(blocks, dim, tol)
 
     monkeypatch.setattr(commutators, "common_null_space_projector", recording)
     rng = rng_from_seed(3)

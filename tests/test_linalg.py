@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
 from qlogic import DEFAULT_TOL, cli
@@ -32,7 +34,7 @@ from qlogic.linalg import (
     solution_bases,
     solution_basis,
 )
-from qlogic.sampling import haar_unitary, rng_from_seed
+from qlogic.sampling import haar_unitary, random_projector, rng_from_seed
 
 
 def test_as_matrix_and_require_square():
@@ -107,6 +109,45 @@ def test_kernel_basis_full_rank_is_empty():
     assert kernel_basis(np.eye(3)).shape == (3, 0)
 
 
+def _unfloored_kernel_basis(matrix, tol=DEFAULT_TOL):
+    """Oracle: the square-only kernel solve with its own unfloored cutoff,
+    which ``kernel_basis`` used before it became ``solution_basis``."""
+    m = require_square(matrix)
+    n = m.shape[0]
+    if n == 0:
+        return np.zeros((0, 0), dtype=complex)
+    _, s, vh = np.linalg.svd(m)
+    cutoff = singular_cutoff(s, n, tol)
+    return dagger(vh)[:, s <= cutoff]
+
+
+def _kernel_input(kind, dim, rng):
+    if kind == "projector":
+        return random_projector(dim, rng).matrix
+    if kind == "zero":
+        return np.zeros((dim, dim), dtype=complex)
+    rank = dim if kind == "random" else int(rng.integers(0, dim))
+    left = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    right = rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
+    return left @ right
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=1, max_value=12),
+       kind=st.sampled_from(["projector", "random", "zero", "rank-deficient"]))
+def test_kernel_basis_gives_the_bits_of_the_unfloored_oracle(seed, dim, kind):
+    # The floor at one moves the cutoff only within (rank_rel_tol d s0,
+    # rank_rel_tol d], and no singular value of these inputs lies there:
+    # projectors have s0 = 1, and the zero singular values of a zero or
+    # rank-deficient matrix sit at rounding level, below either cutoff.
+    m = _kernel_input(kind, dim, rng_from_seed(seed))
+    ours = kernel_basis(m)
+    oracle = _unfloored_kernel_basis(m)
+    assert ours.shape == oracle.shape
+    assert np.array_equal(ours, oracle)
+
+
 def test_solution_basis_rectangular():
     # One equation x0 + x1 + x2 = 0 in three unknowns.
     system = np.ones((1, 3), dtype=complex)
@@ -137,19 +178,20 @@ def test_solution_basis_dimension_mismatch():
 
 @pytest.mark.parametrize("shape", [(0, 2, 3), (3, 0, 3), (2, 1, 1), (4, 1, 3), (5, 3, 3),
                                    (3, 8, 3), (2, 12, 4)])
-@pytest.mark.parametrize("scale_floor", [0.0, 1.0])
-def test_solution_bases_gives_each_system_the_bits_of_solution_basis(shape, scale_floor, rng):
-    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+# At scale 1e-12 every system lies below the floored cutoff and is all null space.
+@pytest.mark.parametrize("scale", [1e-12, 1.0])
+def test_solution_bases_gives_each_system_the_bits_of_solution_basis(shape, scale, rng):
+    stack = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
     n = shape[2]
     if shape[0] >= 2 and shape[1] > 0:
         # A zero system, and one with a known null direction.
         stack[0] = 0.0
         v = np.ones(n) / np.sqrt(n)
         stack[1] = stack[1] - (stack[1] @ v)[:, None] * v[None, :]
-    bases = solution_bases(stack, n, DEFAULT_TOL, scale_floor)
+    bases = solution_bases(stack, n)
     assert len(bases) == shape[0]
     for system, basis in zip(stack, bases):
-        expected = solution_basis(system, n, DEFAULT_TOL, scale_floor)
+        expected = solution_basis(system, n)
         assert basis.shape == expected.shape
         assert np.array_equal(basis, expected)
 
@@ -173,6 +215,20 @@ def test_hermitian_eig_rejects_non_finite_input_and_overflow(matrix):
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError):
             hermitian_eig(np.asarray(matrix, dtype=complex))
+
+
+@pytest.mark.parametrize("matrix", [
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[1.0, np.inf], [np.inf, 1.0]],
+    np.full((3, 3), 6e307),
+], ids=["nan", "inf", "overflow"])
+@pytest.mark.parametrize("norm", [opnorm, lambda m: opnorms(m[None])], ids=["opnorm", "opnorms"])
+def test_norms_reject_non_finite_input_and_overflow(matrix, norm):
+    # A NaN norm would pass every "norm > tol" guard silently.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            norm(np.asarray(matrix, dtype=complex))
 
 
 def test_range_basis():
@@ -237,6 +293,12 @@ def test_svd_non_convergence_raises_a_typed_error(monkeypatch, call):
     monkeypatch.setattr(np.linalg, "svd", _no_convergence)
     with pytest.raises(FactorizationError, match="did not converge"):
         call()
+
+
+def test_opnorm_non_convergence_raises_a_typed_error(monkeypatch):
+    monkeypatch.setattr(np.linalg, "norm", _no_convergence)
+    with pytest.raises(FactorizationError, match="did not converge"):
+        opnorm(np.eye(3))
 
 
 def test_central_eigh_non_convergence_raises_a_typed_error(monkeypatch):

@@ -82,7 +82,7 @@ def test_povm_element_lookup():
     assert np.allclose(povm.element(-3.0), e1)
     assert np.allclose(povm.element(7.0), np.zeros((2, 2)))
     assert np.allclose(povm.element(2.0 + 1e-12, width=1e-9), e0)
-    assert [label for label, _ in povm.sorted_pairs()] == [-3.0, 2.0]
+    assert povm.outcomes == (2.0, -3.0)
 
 
 # ---------------------------------------------------------------------------

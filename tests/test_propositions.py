@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from conftest import SIGMA_X, SIGMA_Z
 from qlogic.errors import (
     NotATautologyError,
     PropositionSyntaxError,

@@ -259,6 +259,17 @@ def test_cli_overflowing_observable_exits_2(qubit_document, tmp_path, entries):
     assert "overflow" in result.stderr
 
 
+def test_cli_overflowing_process_unitary_exits_2(qubit_document, tmp_path):
+    # U^dag U overflows; a NaN unitarity gap must not pass the check.
+    qubit_document["processes"]["pointer"]["U"][0][0][0] = 1e200
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(qubit_document))
+    result = run_cli(["measure", str(path), "pointer", "Z", "up"])
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: $.processes.pointer: ")
+
+
 def test_cli_argparse_exits(scenario_file):
     assert run_cli(["--help"]).returncode == 0
     assert run_cli(["eval"]).returncode == 2
