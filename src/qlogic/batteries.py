@@ -14,13 +14,15 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .commutators import com_family, com_kernel, com_observables, com_pair
-from .errors import QLogicError, UnknownNameError
+from .errors import FamilyTooLargeError, QLogicError, UnknownNameError
 from .linalg import opnorm
 from .measurement import (
     apply_outcome_function,
@@ -118,6 +120,57 @@ def _gap(p: Projector, q: Projector) -> float:
     return opnorm(p.matrix - q.matrix)
 
 
+@dataclass
+class _Tally:
+    """What one check line has seen over its sampled instances.
+
+    ``see`` keeps the worst residual and ``score`` counts hits.  ``attempt``
+    runs one instance: a QLogicError it raises is counted against this line
+    (and any ``also`` lines), and the first one is named in the detail.  A
+    line passes when the worst residual is within its limit, every scored
+    instance hit, and no instance raised.
+    """
+
+    worst: float = 0.0
+    hits: int = 0
+    total: int = 0
+    raised: int = 0
+    first_raised: str = ""
+
+    def see(self, *residuals: float) -> None:
+        self.worst = max(self.worst, *residuals)
+
+    def score(self, hit: bool) -> None:
+        self.total += 1
+        self.hits += bool(hit)
+
+    @contextmanager
+    def attempt(self, instance: int, *also: _Tally) -> Iterator[None]:
+        try:
+            yield
+        except QLogicError as exc:
+            for tally in (self, *also):
+                tally.raised += 1
+                if not tally.first_raised:
+                    tally.first_raised = f"first instance {instance}: {type(exc).__name__}: {exc}"
+
+    def _line(self, label: str, detail: str, limit: float = float("inf")) -> CheckLine:
+        passed = self.worst <= limit and self.hits == self.total and not self.raised
+        if self.raised:
+            detail += f"; {self.raised} raised, {self.first_raised}"
+        return CheckLine(label, passed, detail)
+
+    def residual_line(self, label: str, limit: float, measure: str = "max residual",
+                      extra: str = "") -> CheckLine:
+        return self._line(label, f"{measure} {_fmt(self.worst)}{extra}", limit)
+
+    def ratio_line(self, label: str) -> CheckLine:
+        return self._line(label, f"{self.hits}/{self.total}")
+
+    def count_line(self, label: str, noun: str) -> CheckLine:
+        return self._line(label, f"{self.raised} {noun}")
+
+
 # ---------------------------------------------------------------------------
 # lattice laws
 
@@ -152,9 +205,9 @@ def _family_commuting_with(dim: int, count: int, rng: np.random.Generator,
 
 
 def _suite_lattice_laws(rng: np.random.Generator, tol: ToleranceConfig) -> list[CheckLine]:
-    worst = {"C1": 0.0, "C3": 0.0, "OM": 0.0, "P21": 0.0, "P22": 0.0, "DEC": 0.0}
+    order, de_morgan, orthomodular, decomposition, six_forms, family_law = (
+        _Tally() for _ in range(6))
     double_ortho_ok = True
-    commutes_iff = True
     for _ in range(500):
         dim = int(rng.integers(2, 7))
         p = random_projector(dim, rng, tol=tol)
@@ -164,12 +217,11 @@ def _suite_lattice_laws(rng: np.random.Generator, tol: ToleranceConfig) -> list[
         sub = random_subprojector(q, rng)
         lhs = ortho(q, tol)
         rhs = ortho(sub, tol)
-        worst["C1"] = max(worst["C1"], opnorm(rhs.matrix @ lhs.matrix - lhs.matrix))
+        order.see(opnorm(rhs.matrix @ lhs.matrix - lhs.matrix))
 
         double_ortho_ok = double_ortho_ok and (ortho(ortho(p, tol), tol) is p)
 
-        worst["C3"] = max(
-            worst["C3"],
+        de_morgan.see(
             _gap(join(p, ortho(p, tol), tol), Projector.identity(dim, tol)),
             _gap(meet(p, ortho(p, tol), tol), Projector.zero(dim, tol)),
             _gap(ortho(join(p, q, tol), tol), meet(ortho(p, tol), ortho(q, tol), tol)),
@@ -178,12 +230,12 @@ def _suite_lattice_laws(rng: np.random.Generator, tol: ToleranceConfig) -> list[
 
         below = meet(q, r, tol)
         rebuilt = join(below, meet(ortho(below, tol), q, tol), tol)
-        worst["OM"] = max(worst["OM"], _gap(rebuilt, q))
+        orthomodular.see(_gap(rebuilt, q))
 
-        decomposition = join(meet(p, q, tol), meet(p, ortho(q, tol), tol), tol)
-        residual = _gap(decomposition, p)
-        worst["DEC"] = max(worst["DEC"], residual if commutes(p, q, tol) else 0.0)
-        commutes_iff = commutes_iff and (commutes(p, q, tol) == (residual <= tol.assert_tol))
+        residual = _gap(join(meet(p, q, tol), meet(p, ortho(q, tol), tol), tol), p)
+        commuting = commutes(p, q, tol)
+        decomposition.see(residual if commuting else 0.0)
+        decomposition.score(commuting == (residual <= tol.assert_tol))
 
         qq, (p1, p2) = _family_commuting_with(dim, 2, rng, tol)
         identities = [
@@ -194,14 +246,13 @@ def _suite_lattice_laws(rng: np.random.Generator, tol: ToleranceConfig) -> list[
             (meet(p2, join(p1, qq, tol), tol), join(meet(p2, p1, tol), meet(p2, qq, tol), tol)),
             (join(p2, meet(p1, qq, tol), tol), meet(join(p2, p1, tol), join(p2, qq, tol), tol)),
         ]
-        for a, b in identities:
-            worst["P21"] = max(worst["P21"], _gap(a, b))
+        six_forms.see(*(_gap(a, b) for a, b in identities))
 
         k = int(rng.integers(2, 5))
         qq, family = _family_commuting_with(dim, k, rng, tol)
         lhs = meet(qq, join_all(family, dim=dim, tol=tol), tol)
         rhs = join_all([meet(qq, f, tol) for f in family], dim=dim, tol=tol)
-        worst["P22"] = max(worst["P22"], _gap(lhs, rhs))
+        family_law.see(_gap(lhs, rhs))
 
     z_up = Projector.from_matrix(np.diag([1.0, 0.0]).astype(complex), tol)
     x_up = Projector.from_matrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex), tol)
@@ -211,19 +262,13 @@ def _suite_lattice_laws(rng: np.random.Generator, tol: ToleranceConfig) -> list[
 
     a = tol.assert_tol
     return [
-        CheckLine("complement reverses order on 500 constructed pairs",
-                  worst["C1"] <= a, f"max residual {_fmt(worst['C1'])}"),
+        order.residual_line("complement reverses order on 500 constructed pairs", a),
         CheckLine("double complement returns the original object", double_ortho_ok),
-        CheckLine("complement join/meet and De Morgan identities",
-                  worst["C3"] <= a, f"max residual {_fmt(worst['C3'])}"),
-        CheckLine("orthomodular law on constructed comparable pairs",
-                  worst["OM"] <= a, f"max residual {_fmt(worst['OM'])}"),
-        CheckLine("commutes iff P = (P^Q) v (P^Q')",
-                  commutes_iff and worst["DEC"] <= a, f"max residual {_fmt(worst['DEC'])}"),
-        CheckLine("six distributivity forms with a doubly commuting element",
-                  worst["P21"] <= a, f"max residual {_fmt(worst['P21'])}"),
-        CheckLine("family distributivity over joins",
-                  worst["P22"] <= a, f"max residual {_fmt(worst['P22'])}"),
+        de_morgan.residual_line("complement join/meet and De Morgan identities", a),
+        orthomodular.residual_line("orthomodular law on constructed comparable pairs", a),
+        decomposition.residual_line("commutes iff P = (P^Q) v (P^Q')", a),
+        six_forms.residual_line("six distributivity forms with a doubly commuting element", a),
+        family_law.residual_line("family distributivity over joins", a),
         CheckLine("Pauli distributivity counterexample violates by > 0.1",
                   violation > 0.1, f"violation {_fmt(violation)}"),
     ]
@@ -249,9 +294,7 @@ def _block_projector_family(dim: int, count: int, rng: np.random.Generator,
 
 
 def _suite_commutator_routes(rng: np.random.Generator, tol: ToleranceConfig) -> list[CheckLine]:
-    worst_family = 0.0
-    worst_pair = 0.0
-    failures = 0
+    routes, pairwise = _Tally(), _Tally()
     for i in range(200):
         dim = int(rng.integers(2, 7))
         count = int(rng.integers(2, 4))
@@ -259,14 +302,11 @@ def _suite_commutator_routes(rng: np.random.Generator, tol: ToleranceConfig) -> 
             family = [random_projector(dim, rng, tol=tol) for _ in range(count)]
         else:
             family = _block_projector_family(dim, count, rng, tol)
-        try:
+        with routes.attempt(i, pairwise):
             a = com_family(family, tol)
-            b = com_kernel(family, tol)
-            worst_family = max(worst_family, _gap(a, b))
+            routes.see(_gap(a, com_kernel(family, tol)))
             if count == 2:
-                worst_pair = max(worst_pair, _gap(a, com_pair(family[0], family[1], tol)))
-        except QLogicError:
-            failures += 1
+                pairwise.see(_gap(a, com_pair(family[0], family[1], tol)))
 
     monotone = True
     for i in range(100):
@@ -281,10 +321,8 @@ def _suite_commutator_routes(rng: np.random.Generator, tol: ToleranceConfig) -> 
 
     a = tol.assert_tol
     return [
-        CheckLine("sign-map join equals kernel route on 200 families",
-                  worst_family <= a and failures == 0, f"max gap {_fmt(worst_family)}"),
-        CheckLine("pairwise formula agrees on two-element families",
-                  worst_pair <= a, f"max gap {_fmt(worst_pair)}"),
+        routes.residual_line("sign-map join equals kernel route on 200 families", a, "max gap"),
+        pairwise.residual_line("pairwise formula agrees on two-element families", a, "max gap"),
         CheckLine("commutator shrinks under family growth on 100 nested families",
                   monotone),
     ]
@@ -296,7 +334,7 @@ def _suite_commutator_routes(rng: np.random.Generator, tol: ToleranceConfig) -> 
 
 def _suite_spectral_identities(rng: np.random.Generator,
                                tol: ToleranceConfig) -> list[CheckLine]:
-    worst = {"threshold": 0.0, "tail": 0.0, "window": 0.0, "point": 0.0}
+    threshold, tail, window, point = _Tally(), _Tally(), _Tally(), _Tally()
     for _ in range(100):
         dim = int(rng.integers(2, 9))
         x = random_observable("X", dim, rng, tol=tol)
@@ -306,33 +344,25 @@ def _suite_spectral_identities(rng: np.random.Generator,
                 float(rng.choice(spectrum)),
                 float(rng.choice(spectrum)) + 0.5 * delta]
         for t in cuts:
-            worst["threshold"] = max(worst["threshold"], _gap(
-                x.threshold(t), x.spectral_projector(BorelSet.up_to(t))))
-            worst["tail"] = max(worst["tail"], _gap(
-                ortho(x.threshold(t), tol), x.spectral_projector(BorelSet.above(t))))
+            threshold.see(_gap(x.threshold(t), x.spectral_projector(BorelSet.up_to(t))))
+            tail.see(_gap(ortho(x.threshold(t), tol), x.spectral_projector(BorelSet.above(t))))
         lo, hi = sorted(rng.uniform(spectrum[0] - 1.0, spectrum[-1] + 1.0, size=2))
         if hi - lo > x.snap_width:
-            worst["window"] = max(worst["window"], _gap(
-                meet(x.threshold(hi), ortho(x.threshold(lo), tol), tol),
-                x.spectral_projector(BorelSet.left_open(lo, hi))))
+            window.see(_gap(meet(x.threshold(hi), ortho(x.threshold(lo), tol), tol),
+                            x.spectral_projector(BorelSet.left_open(lo, hi))))
         v = float(rng.choice(spectrum))
-        point = x.spectral_projector(BorelSet.point(v))
-        worst["point"] = max(
-            worst["point"],
-            _gap(point, x.eigenprojector_at(v)),
-            _gap(point, meet(x.threshold(v + delta), ortho(x.threshold(v - delta), tol), tol)),
+        singleton = x.spectral_projector(BorelSet.point(v))
+        point.see(
+            _gap(singleton, x.eigenprojector_at(v)),
+            _gap(singleton, meet(x.threshold(v + delta), ortho(x.threshold(v - delta), tol), tol)),
         )
 
     a = tol.assert_tol
     return [
-        CheckLine("threshold equals the (-inf, x] spectral projector",
-                  worst["threshold"] <= a, f"max residual {_fmt(worst['threshold'])}"),
-        CheckLine("complement of threshold equals the (x, inf) projector",
-                  worst["tail"] <= a, f"max residual {_fmt(worst['tail'])}"),
-        CheckLine("half-open window equals the threshold difference",
-                  worst["window"] <= a, f"max residual {_fmt(worst['window'])}"),
-        CheckLine("singleton projector via the half-gap window",
-                  worst["point"] <= a, f"max residual {_fmt(worst['point'])}"),
+        threshold.residual_line("threshold equals the (-inf, x] spectral projector", a),
+        tail.residual_line("complement of threshold equals the (x, inf) projector", a),
+        window.residual_line("half-open window equals the threshold difference", a),
+        point.residual_line("singleton projector via the half-gap window", a),
     ]
 
 
@@ -351,9 +381,8 @@ def _mixed_observable_family(dim: int, count: int, style: int, rng: np.random.Ge
 
 
 def _suite_com_expansion(rng: np.random.Generator, tol: ToleranceConfig) -> list[CheckLine]:
-    worst = 0.0
+    expansion = _Tally()
     biggest_grid = 0
-    failures = 0
     for i in range(50):
         dim = int(rng.integers(3, 7))
         count = 2 if i % 2 == 0 else 3
@@ -361,19 +390,16 @@ def _suite_com_expansion(rng: np.random.Generator, tol: ToleranceConfig) -> list
         grid = 1
         for x in xs:
             grid *= len(x.spectrum)
-        if grid > 4096:
-            failures += 1
-            continue
-        biggest_grid = max(biggest_grid, grid)
-        try:
+        with expansion.attempt(i):
+            if grid > 4096:
+                raise FamilyTooLargeError(f"atom grid {grid} exceeds 4096")
+            biggest_grid = max(biggest_grid, grid)
             span = common_eigenvector_projector(xs, "determinate", tol)
-            worst = max(worst, _gap(span, com_observables(xs, tol)))
-        except QLogicError:
-            failures += 1
+            expansion.see(_gap(span, com_observables(xs, tol)))
     return [
-        CheckLine("join-of-meets expansion equals the commutator on 50 families",
-                  worst <= tol.assert_tol and failures == 0,
-                  f"max gap {_fmt(worst)}, largest atom grid {biggest_grid}"),
+        expansion.residual_line("join-of-meets expansion equals the commutator on 50 families",
+                                tol.assert_tol, "max gap",
+                                f", largest atom grid {biggest_grid}"),
     ]
 
 
@@ -382,56 +408,39 @@ def _suite_com_expansion(rng: np.random.Generator, tol: ToleranceConfig) -> list
 
 
 def _suite_determinateness(rng: np.random.Generator, tol: ToleranceConfig) -> list[CheckLine]:
-    incoherent = 0
-    commuting_true = 0
-    commuting_total = 0
-    block_positive = 0
-    block_positive_total = 0
-    block_negative = 0
-    block_negative_total = 0
-    worst_born = 0.0
+    coherence, commuting, block_positive, block_negative, born = (_Tally() for _ in range(5))
     for i in range(300):
         style = i % 4
-        try:
+        with coherence.attempt(i):
             if style == 0:
                 dim = int(rng.integers(3, 7))
                 count = int(rng.integers(2, 4))
                 xs = random_commuting_observables(dim, count, rng, tol)
                 state = random_density(dim, rng, tol=tol)
                 report = determinateness_battery(xs, state, tol)
-                commuting_total += 1
-                if report.holds:
-                    commuting_true += 1
+                commuting.score(report.holds)
                 if report.distribution is not None:
                     for values, mass in report.distribution.sorted_items():
                         atom = np.eye(dim, dtype=complex)
                         for x, v in zip(xs, values):
                             atom = atom @ x.eigenprojector_at(v).matrix
-                        born = float(np.real(np.trace(atom @ state.matrix)))
-                        worst_born = max(worst_born, abs(mass - born))
+                        born.see(abs(mass - float(np.real(np.trace(atom @ state.matrix)))))
             elif style == 1:
                 dim = int(rng.integers(4, 7))
                 xs, state = random_determinate_family(dim, int(rng.integers(2, 4)), rng, tol)
-                report = determinateness_battery(xs, state, tol)
-                block_positive_total += 1
-                if report.holds:
-                    block_positive += 1
+                block_positive.score(determinateness_battery(xs, state, tol).holds)
             elif style == 2:
                 dim = int(rng.integers(4, 7))
                 xs, _ = random_determinate_family(dim, int(rng.integers(2, 4)), rng, tol)
                 state = random_density(dim, rng, rank=dim, tol=tol)
                 report = determinateness_battery(xs, state, tol)
-                block_negative_total += 1
-                if not any(report.clauses.values()):
-                    block_negative += 1
+                block_negative.score(not any(report.clauses.values()))
             else:
                 dim = int(rng.integers(2, 6))
                 xs = [random_observable(f"X{k + 1}", dim, rng, tol=tol)
                       for k in range(int(rng.integers(2, 4)))]
                 state = random_density(dim, rng, tol=tol)
                 determinateness_battery(xs, state, tol)
-        except QLogicError:
-            incoherent += 1
 
     sigma_z = spectral_decompose("Z", np.diag([1.0, -1.0]).astype(complex), tol)
     sigma_x = spectral_decompose("X", np.array([[0, 1], [1, 0]], dtype=complex), tol)
@@ -440,20 +449,13 @@ def _suite_determinateness(rng: np.random.Generator, tol: ToleranceConfig) -> li
     pauli_all_false = not any(pauli.clauses.values())
 
     return [
-        CheckLine("clause coherence across 300 sampled instances",
-                  incoherent == 0, f"{incoherent} incoherent"),
-        CheckLine("commuting families all determinate",
-                  commuting_true == commuting_total,
-                  f"{commuting_true}/{commuting_total}"),
-        CheckLine("sector-supported states determinate for block families",
-                  block_positive == block_positive_total,
-                  f"{block_positive}/{block_positive_total}"),
-        CheckLine("full-rank states fail every clause for block families",
-                  block_negative == block_negative_total,
-                  f"{block_negative}/{block_negative_total}"),
+        coherence.count_line("clause coherence across 300 sampled instances", "incoherent"),
+        commuting.ratio_line("commuting families all determinate"),
+        block_positive.ratio_line("sector-supported states determinate for block families"),
+        block_negative.ratio_line("full-rank states fail every clause for block families"),
         CheckLine("Pauli pair with mixed state fails every clause", pauli_all_false),
-        CheckLine("constructed joint measure matches Born atom masses",
-                  worst_born <= tol.assert_tol, f"max gap {_fmt(worst_born)}"),
+        born.residual_line("constructed joint measure matches Born atom masses",
+                           tol.assert_tol, "max gap"),
     ]
 
 
@@ -466,10 +468,10 @@ def _renamed(x: Observable, name: str) -> Observable:
 
 
 def _suite_equality(rng: np.random.Generator, tol: ToleranceConfig) -> list[CheckLine]:
-    route_failures = 0
+    routes = _Tally()
     for i in range(200):
         dim = int(rng.integers(2, 7))
-        try:
+        with routes.attempt(i):
             if i % 3 == 0:
                 x = random_observable("X", dim, rng, tol=tol)
                 y = _renamed(x, "Y")
@@ -479,49 +481,31 @@ def _suite_equality(rng: np.random.Generator, tol: ToleranceConfig) -> list[Chec
             else:
                 x, y, _ = random_agreeing_pair(max(dim, 4), rng, tol)
             equality_projector(x, y, tol)
-        except QLogicError:
-            route_failures += 1
 
-    incoherent = 0
-    positives = 0
-    positives_total = 0
-    negatives = 0
-    negatives_total = 0
+    coherence, positives, negatives = _Tally(), _Tally(), _Tally()
     for i in range(300):
         style = i % 4
-        try:
+        with coherence.attempt(i):
             if style == 0:
                 x, y, state = random_agreeing_pair(int(rng.integers(4, 7)), rng, tol)
-                positives_total += 1
-                if equality_battery(x, y, state, tol).holds:
-                    positives += 1
+                positives.score(equality_battery(x, y, state, tol).holds)
             elif style == 1:
                 dim = int(rng.integers(2, 6))
                 x = random_observable("X", dim, rng, tol=tol)
                 state = random_vector_state(dim, rng, tol)
-                positives_total += 1
-                if equality_battery(x, _renamed(x, "Y"), state, tol).holds:
-                    positives += 1
-            elif style == 2:
-                dim = int(rng.integers(2, 6))
-                x = random_observable("X", dim, rng, tol=tol)
-                y = random_observable("Y", dim, rng, tol=tol)
-                state = random_density(dim, rng, tol=tol)
-                report = equality_battery(x, y, state, tol)
-                if not report.holds:
-                    negatives_total += 1
-                    if not any(report.clauses.values()):
-                        negatives += 1
+                positives.score(equality_battery(x, _renamed(x, "Y"), state, tol).holds)
             else:
-                x, y, _ = random_agreeing_pair(int(rng.integers(4, 7)), rng, tol)
-                state = random_density(x.dim, rng, rank=x.dim, tol=tol)
+                if style == 2:
+                    dim = int(rng.integers(2, 6))
+                    x = random_observable("X", dim, rng, tol=tol)
+                    y = random_observable("Y", dim, rng, tol=tol)
+                    state = random_density(dim, rng, tol=tol)
+                else:
+                    x, y, _ = random_agreeing_pair(int(rng.integers(4, 7)), rng, tol)
+                    state = random_density(x.dim, rng, rank=x.dim, tol=tol)
                 report = equality_battery(x, y, state, tol)
                 if not report.holds:
-                    negatives_total += 1
-                    if not any(report.clauses.values()):
-                        negatives += 1
-        except QLogicError:
-            incoherent += 1
+                    negatives.score(not any(report.clauses.values()))
 
     z = np.diag([1.0, -1.0]).astype(complex)
     eye2 = np.eye(2, dtype=complex)
@@ -538,14 +522,11 @@ def _suite_equality(rng: np.random.Generator, tol: ToleranceConfig) -> list[Chec
         q, Projector.from_matrix(expected_span, tol)) <= tol.assert_tol
 
     return [
-        CheckLine("threshold-kernel and cross-term routes agree on 200 pairs",
-                  route_failures == 0, f"{route_failures} disagreements"),
-        CheckLine("clause coherence across 300 sampled instances",
-                  incoherent == 0, f"{incoherent} incoherent"),
-        CheckLine("agreeing pairs equal in sector states",
-                  positives == positives_total, f"{positives}/{positives_total}"),
-        CheckLine("unequal instances fail every clause",
-                  negatives == negatives_total, f"{negatives}/{negatives_total}"),
+        routes.count_line("threshold-kernel and cross-term routes agree on 200 pairs",
+                          "disagreements"),
+        coherence.count_line("clause coherence across 300 sampled instances", "incoherent"),
+        positives.ratio_line("agreeing pairs equal in sector states"),
+        negatives.ratio_line("unequal instances fail every clause"),
         CheckLine("Bell state satisfies left = right with probability 1 (1e-10)",
                   bell_ok, f"probability deficit {_fmt(abs(1.0 - bell_probability))}"),
     ]
@@ -557,7 +538,7 @@ def _suite_equality(rng: np.random.Generator, tol: ToleranceConfig) -> list[Chec
 
 def _suite_equivalence_relation(rng: np.random.Generator,
                                 tol: ToleranceConfig) -> list[CheckLine]:
-    worst_reflexive = 0.0
+    reflexive = _Tally()
     symmetric = True
     transitive = True
     for i in range(200):
@@ -573,12 +554,11 @@ def _suite_equivalence_relation(rng: np.random.Generator,
             y = random_observable("Y", dim, rng, tol=tol)
             z = random_observable("Z", dim, rng, tol=tol)
         report = equivalence_relation_check(x, y, z, tol)
-        worst_reflexive = max(worst_reflexive, report.reflexive_residual)
+        reflexive.see(report.reflexive_residual)
         symmetric = symmetric and report.symmetric_exact
         transitive = transitive and report.transitive
     return [
-        CheckLine("self equality is the identity to 1e-10",
-                  worst_reflexive <= 1e-10, f"max residual {_fmt(worst_reflexive)}"),
+        reflexive.residual_line("self equality is the identity to 1e-10", 1e-10),
         CheckLine("equality projector is bitwise symmetric", symmetric),
         CheckLine("transitivity as a lattice inequality on 200 triples", transitive),
     ]
@@ -590,23 +570,19 @@ def _suite_equivalence_relation(rng: np.random.Generator,
 
 def _suite_common_eigenvectors(rng: np.random.Generator,
                                tol: ToleranceConfig) -> list[CheckLine]:
-    worst_det = 0.0
-    det_failures = 0
+    determinate = _Tally()
     for i in range(100):
         dim = int(rng.integers(3, 7))
         count = 2 if i % 2 == 0 else 3
         xs = _mixed_observable_family(dim, count, i % 3, rng, tol)
-        try:
+        with determinate.attempt(i):
             span = common_eigenvector_projector(xs, "determinate", tol)
-            worst_det = max(worst_det, _gap(span, com_observables(xs, tol)))
-        except QLogicError:
-            det_failures += 1
+            determinate.see(_gap(span, com_observables(xs, tol)))
 
-    worst_eq = 0.0
-    eq_failures = 0
+    equal = _Tally()
     for i in range(100):
         dim = int(rng.integers(2, 7))
-        try:
+        with equal.attempt(i):
             if i % 3 == 0:
                 x = random_observable("X", dim, rng, tol=tol)
                 y = _renamed(x, "Y")
@@ -616,16 +592,14 @@ def _suite_common_eigenvectors(rng: np.random.Generator,
                 x = random_observable("X", dim, rng, tol=tol)
                 y = random_observable("Y", dim, rng, tol=tol)
             span = common_eigenvector_projector([x, y], "equal", tol)
-            worst_eq = max(worst_eq, _gap(span, equality_projector(x, y, tol)))
-        except QLogicError:
-            eq_failures += 1
+            equal.see(_gap(span, equality_projector(x, y, tol)))
 
     a = tol.assert_tol
     return [
-        CheckLine("joint eigenspace span equals the commutator on 100 families",
-                  worst_det <= a and det_failures == 0, f"max gap {_fmt(worst_det)}"),
-        CheckLine("matching eigenspace span equals the equality projector on 100 pairs",
-                  worst_eq <= a and eq_failures == 0, f"max gap {_fmt(worst_eq)}"),
+        determinate.residual_line("joint eigenspace span equals the commutator on 100 families",
+                                  a, "max gap"),
+        equal.residual_line(
+            "matching eigenspace span equals the equality projector on 100 pairs", a, "max gap"),
     ]
 
 
@@ -666,8 +640,7 @@ def _suite_tautology_transfer(rng: np.random.Generator,
     oracle_ok = all(is_classical_tautology(parse_skeleton(s)) for s in _TAUTOLOGIES)
     non_tautology = not is_classical_tautology(parse_skeleton("a or b"))
 
-    passed = 0
-    total = 0
+    transfer = _Tally()
     for source in _TAUTOLOGIES:
         skeleton = parse_skeleton(source)
         variables = skeleton_variables(skeleton)
@@ -683,15 +656,11 @@ def _suite_tautology_transfer(rng: np.random.Generator,
             for v in variables:
                 pick = pool[int(rng.integers(0, len(pool)))]
                 assignment[v] = _random_atom(pick.name, pick, rng)
-            report = tautology_transfer_check(skeleton, assignment, registry, tol)
-            total += 1
-            if report.passed:
-                passed += 1
+            transfer.score(tautology_transfer_check(skeleton, assignment, registry, tol).passed)
     return [
         CheckLine("truth-table oracle certifies the 12 fixtures", oracle_ok),
         CheckLine("truth-table oracle rejects a non-tautology", non_tautology),
-        CheckLine("commutator below the truth value in all instantiations",
-                  passed == total, f"{passed}/{total}"),
+        transfer.ratio_line("commutator below the truth value in all instantiations"),
     ]
 
 
@@ -704,20 +673,18 @@ def _suite_measurement(rng: np.random.Generator, tol: ToleranceConfig) -> list[C
     sigma_z = spectral_decompose("Z", np.diag([1.0, -1.0]).astype(complex), tol)
     sigma_x = spectral_decompose("X", np.array([[0, 1], [1, 0]], dtype=complex), tol)
 
-    cnot_hits = 0
+    cnot_z = _Tally()
     for _ in range(50):
         state = random_vector_state(2, rng, tol)
-        if measurement_battery(cnot, sigma_z, state, tol).holds:
-            cnot_hits += 1
+        cnot_z.score(measurement_battery(cnot, sigma_z, state, tol).holds)
 
     up = DensityState.from_vector(np.array([1.0, 0.0], dtype=complex), tol)
     x_report = measurement_battery(cnot, sigma_x, up, tol)
     x_all_false = not any(x_report.clauses.values())
 
-    incoherent = 0
-    pushforward_gap = 0.0
+    coherence, pushforward = _Tally(), _Tally()
     for i in range(100):
-        try:
+        with coherence.attempt(i):
             if i % 3 == 0:
                 dim = int(rng.integers(2, 4))
                 a = random_observable("A", dim, rng, tol=tol)
@@ -743,14 +710,11 @@ def _suite_measurement(rng: np.random.Generator, tol: ToleranceConfig) -> list[C
                         (base.element(m) for m in base.outcomes
                          if abs(float(m) ** 2 - value) <= squared.meter.snap_width),
                         np.zeros((dim, dim), dtype=complex))
-                    pushforward_gap = max(pushforward_gap,
-                                          opnorm(pushed.element(value) - expected))
+                    pushforward.see(opnorm(pushed.element(value) - expected))
                 state = random_vector_state(dim, rng, tol)
                 measurement_battery(squared, a.apply_function(lambda v: v * v), state, tol)
-        except QLogicError:
-            incoherent += 1
 
-    global_ok = 0
+    all_states = _Tally()
     for i in range(20):
         dim = int(rng.integers(2, 4))
         a = random_observable("A", dim, rng, tol=tol)
@@ -758,55 +722,39 @@ def _suite_measurement(rng: np.random.Generator, tol: ToleranceConfig) -> list[C
             process = measuring_process_for(a, tol)
         else:
             process = random_measuring_process(dim, int(rng.integers(2, 4)), rng, tol)
-        try:
+        with all_states.attempt(i):
             report = global_measurement_check(process, a, spanning_state_sample(dim, tol), tol)
-            expected = i % 2 == 0
-            if report.holds == expected:
-                global_ok += 1
-        except QLogicError:
-            pass
+            all_states.score(report.holds == (i % 2 == 0))
 
-    naimark_worst = 0.0
-    naimark_failures = 0
-    for _ in range(100):
+    naimark = _Tally()
+    for i in range(100):
         dim = int(rng.integers(2, 5))
         outcomes = int(rng.integers(2, 5))
         povm = random_povm(dim, outcomes, rng, tol)
-        try:
-            process = naimark_process(povm, tol=tol)
-            induced = povm_of_process(process)
+        with naimark.attempt(i):
+            induced = povm_of_process(naimark_process(povm, tol=tol))
             for label, element in zip(povm.outcomes, povm.elements):
-                naimark_worst = max(naimark_worst,
-                                    opnorm(induced.element(float(label)) - element))
-        except QLogicError:
-            naimark_failures += 1
+                naimark.see(opnorm(induced.element(float(label)) - element))
 
-    witness_ok = 0
-    for _ in range(50):
+    witness = _Tally()
+    for i in range(50):
         dim = int(rng.integers(4, 6))
         (first, second), state = random_determinate_family(dim, 2, rng, tol)
-        try:
+        with witness.attempt(i):
             report = simultaneous_measurability(first, second, state, tol)
-            if report.determinate and report.passed:
-                witness_ok += 1
-        except QLogicError:
-            pass
+            witness.score(report.determinate and report.passed)
 
     return [
-        CheckLine("CNOT model measures Z in 50 random states",
-                  cnot_hits == 50, f"{cnot_hits}/50"),
+        cnot_z.ratio_line("CNOT model measures Z in 50 random states"),
         CheckLine("CNOT model fails X in |0> with every clause false", x_all_false),
-        CheckLine("predicate coherence across 100 sampled models",
-                  incoherent == 0, f"{incoherent} incoherent"),
-        CheckLine("outcome pushforward matches the relabeled statistics",
-                  pushforward_gap <= tol.assert_tol, f"max gap {_fmt(pushforward_gap)}"),
-        CheckLine("all-states measurement iff the statistics are spectral (20 models)",
-                  global_ok == 20, f"{global_ok}/20"),
-        CheckLine("probe dilation reproduces 100 random statistics maps",
-                  naimark_worst <= tol.assert_tol and naimark_failures == 0,
-                  f"max gap {_fmt(naimark_worst)}"),
-        CheckLine("joint witness succeeds on 50 determinate pairs",
-                  witness_ok == 50, f"{witness_ok}/50"),
+        coherence.count_line("predicate coherence across 100 sampled models", "incoherent"),
+        pushforward.residual_line("outcome pushforward matches the relabeled statistics",
+                                  tol.assert_tol, "max gap"),
+        all_states.ratio_line(
+            "all-states measurement iff the statistics are spectral (20 models)"),
+        naimark.residual_line("probe dilation reproduces 100 random statistics maps",
+                              tol.assert_tol, "max gap"),
+        witness.ratio_line("joint witness succeeds on 50 determinate pairs"),
     ]
 
 
@@ -841,54 +789,41 @@ def _run_cli(arguments: list[str], cwd: str) -> subprocess.CompletedProcess:
                           capture_output=True, cwd=cwd, env=env, timeout=120)
 
 
+# (label, arguments, expected exit code, whether a rerun must print the same
+# bytes, detail format); SCENARIO and BROKEN name the two files written below.
+_CLI_CASES = (
+    ("probability reports byte-identical across runs",
+     ["prob", "SCENARIO", "p", "up", "--json"], 0, True, "exit {exit}, {size} bytes"),
+    ("evaluation reports byte-identical across runs",
+     ["eval", "SCENARIO", "q", "--json"], 0, True, "exit {exit}"),
+    ("failed determinateness check exits 1 with stable output",
+     ["check", "SCENARIO", "determinate", "Z", "X", "mixed", "--json"], 1, True, "exit {exit}"),
+    ("passing determinateness check exits 0",
+     ["check", "SCENARIO", "determinate", "Z", "N", "up"], 0, False, "exit {exit}"),
+    ("malformed scenario exits 2", ["prob", "BROKEN", "p", "up"], 2, False, "exit {exit}"),
+    ("unknown proposition name exits 2",
+     ["prob", "SCENARIO", "nosuch", "up"], 2, False, "exit {exit}"),
+)
+
+
 def _suite_cli_determinism(rng: np.random.Generator,
                            tol: ToleranceConfig) -> list[CheckLine]:
     checks: list[CheckLine] = []
     with tempfile.TemporaryDirectory() as workdir:
-        scenario_path = os.path.join(workdir, "scenario.json")
-        with open(scenario_path, "w", encoding="utf-8") as handle:
+        files = {"SCENARIO": os.path.join(workdir, "scenario.json"),
+                 "BROKEN": os.path.join(workdir, "broken.json")}
+        with open(files["SCENARIO"], "w", encoding="utf-8") as handle:
             json.dump(_CLI_SCENARIO, handle)
-        broken_path = os.path.join(workdir, "broken.json")
-        with open(broken_path, "w", encoding="utf-8") as handle:
+        with open(files["BROKEN"], "w", encoding="utf-8") as handle:
             handle.write('{"dimension": 2,')
 
-        first = _run_cli(["prob", scenario_path, "p", "up", "--json"], workdir)
-        second = _run_cli(["prob", scenario_path, "p", "up", "--json"], workdir)
-        checks.append(CheckLine(
-            "probability reports byte-identical across runs",
-            first.returncode == 0 and first.stdout == second.stdout,
-            f"exit {first.returncode}, {len(first.stdout)} bytes"))
-
-        eval_first = _run_cli(["eval", scenario_path, "q", "--json"], workdir)
-        eval_second = _run_cli(["eval", scenario_path, "q", "--json"], workdir)
-        checks.append(CheckLine(
-            "evaluation reports byte-identical across runs",
-            eval_first.returncode == 0 and eval_first.stdout == eval_second.stdout,
-            f"exit {eval_first.returncode}"))
-
-        failing = _run_cli(["check", scenario_path, "determinate", "Z", "X", "mixed",
-                            "--json"], workdir)
-        failing_again = _run_cli(["check", scenario_path, "determinate", "Z", "X", "mixed",
-                                  "--json"], workdir)
-        checks.append(CheckLine(
-            "failed determinateness check exits 1 with stable output",
-            failing.returncode == 1 and failing.stdout == failing_again.stdout,
-            f"exit {failing.returncode}"))
-
-        passing = _run_cli(["check", scenario_path, "determinate", "Z", "N", "up"], workdir)
-        checks.append(CheckLine(
-            "passing determinateness check exits 0",
-            passing.returncode == 0, f"exit {passing.returncode}"))
-
-        malformed = _run_cli(["prob", broken_path, "p", "up"], workdir)
-        checks.append(CheckLine(
-            "malformed scenario exits 2",
-            malformed.returncode == 2, f"exit {malformed.returncode}"))
-
-        unknown = _run_cli(["prob", scenario_path, "nosuch", "up"], workdir)
-        checks.append(CheckLine(
-            "unknown proposition name exits 2",
-            unknown.returncode == 2, f"exit {unknown.returncode}"))
+        for label, arguments, expected_exit, rerun, detail in _CLI_CASES:
+            arguments = [files.get(arg, arg) for arg in arguments]
+            first = _run_cli(arguments, workdir)
+            stable = not rerun or first.stdout == _run_cli(arguments, workdir).stdout
+            checks.append(CheckLine(
+                label, first.returncode == expected_exit and stable,
+                detail.format(exit=first.returncode, size=len(first.stdout))))
     return checks
 
 

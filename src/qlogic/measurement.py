@@ -13,6 +13,7 @@ when the clauses disagree.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ from .commutators import com_observables
 from .errors import (
     CrossCheckFailure,
     DimensionMismatchError,
+    NonFiniteError,
     NotAPOVMError,
     NotUnitaryError,
     QLogicError,
@@ -36,22 +38,22 @@ from .states import (
     equal_in_state,
     merged_values,
     projector_probability,
-    simultaneously_determinate,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
-Outcome = float | tuple[float, ...]
-
 
 class POVM:
-    """Positive effects labeled by outcomes, resolving the identity."""
+    """Positive effects labeled by real outcomes, resolving the identity."""
 
     __slots__ = ("outcomes", "elements", "dim", "tol")
 
-    def __init__(self, outcomes: Sequence[Outcome], elements: Sequence[np.ndarray],
+    def __init__(self, outcomes: Sequence[float], elements: Sequence[np.ndarray],
                  tol: ToleranceConfig = DEFAULT_TOL):
         if len(outcomes) != len(elements):
             raise NotAPOVMError("one effect per outcome required")
+        for label in outcomes:
+            if not isinstance(label, numbers.Real):
+                raise NotAPOVMError(f"outcome label {label!r} is not a real number")
         if len(set(outcomes)) != len(outcomes):
             raise NotAPOVMError("outcome labels must be distinct")
         mats = [require_square(e) for e in elements]
@@ -74,23 +76,15 @@ class POVM:
         self.dim = dim
         self.tol = tol
 
-    def element(self, outcome: Outcome, width: float = 0.0) -> np.ndarray:
+    def element(self, outcome: float, width: float = 0.0) -> np.ndarray:
         """Effect of an outcome; unknown labels give the zero effect."""
         for label, m in zip(self.outcomes, self.elements):
-            if _labels_match(label, outcome, width):
+            if abs(label - outcome) <= width:
                 return m
         return np.zeros((self.dim, self.dim), dtype=complex)
 
     def __repr__(self) -> str:
         return f"POVM(dim={self.dim}, outcomes={self.outcomes})"
-
-
-def _labels_match(a: Outcome, b: Outcome, width: float) -> bool:
-    if isinstance(a, tuple) != isinstance(b, tuple):
-        return False
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(abs(x - y) <= width for x, y in zip(a, b))
-    return abs(a - b) <= width
 
 
 class MeasuringProcess:
@@ -107,10 +101,16 @@ class MeasuringProcess:
             raise DimensionMismatchError(
                 f"coupling acts on dimension {u.shape[0]}, expected {dim_h * probe.dim}")
         # Entries too large for U^dag U give an infinite gram, which opnorm
-        # rejects with NonFiniteError; the overflow itself needs no warning.
+        # rejects with NonFiniteError, reraised here to name the coupling; the
+        # overflow itself needs no warning.
         with np.errstate(over="ignore", invalid="ignore"):
             gram = dagger(u) @ u
-        if opnorm(gram - np.eye(u.shape[0])) > tol.assert_tol:
+        try:
+            deviation = opnorm(gram - np.eye(u.shape[0]))
+        except NonFiniteError:
+            raise NonFiniteError("the coupling U has entries that overflow its unitarity "
+                                 "check (U^dag U is not finite)") from None
+        if deviation > tol.assert_tol:
             raise NotUnitaryError("coupling matrix is not unitary within tolerance")
         self.dim_h = dim_h
         self.probe = probe
@@ -298,9 +298,6 @@ def naimark_process(povm: POVM, meter_name: str = "M",
     reproduce the input.
     """
     t = tol or povm.tol
-    for outcome in povm.outcomes:
-        if isinstance(outcome, tuple):
-            raise NotAPOVMError("dilation needs scalar outcome labels; encode pairs first")
     labels = [float(v) for v in povm.outcomes]
     m = len(labels)
     n = povm.dim
@@ -385,7 +382,8 @@ def simultaneous_measurability(first: Observable, second: Observable,
     determinate.
     """
     t = tol or state.tol
-    if not simultaneously_determinate([first, second], state, t):
+    g = com_observables([first, second], t)
+    if projector_probability(g, state, t) < 1.0 - t.assert_tol:
         return SimultaneousMeasurementReport(
             determinate=False, witness=None, first_codes={}, second_codes={},
             first_measures=False, second_measures=False,
@@ -393,7 +391,6 @@ def simultaneous_measurability(first: Observable, second: Observable,
             note="pair not simultaneously determinate in the state; "
                  "the compression witness does not apply")
 
-    g = com_observables([first, second], t)
     for x in (first, second):
         if not matrices_commute(x.matrix, g.matrix, t):
             raise QLogicError(f"commutator projection fails to commute with {x.name}")

@@ -391,10 +391,17 @@ def equality_projector(x: Observable, y: Observable,
     Production route: joint kernel of E_X(lambda) - E_Y(lambda) over the
     merged spectrum.  Independent route: joint kernel of the disjoint-atom
     cross terms E_X({a}) E_Y({b}), a != b; the two must agree.
+
+    The result is bitwise symmetric in X and Y: the operands are put in a
+    canonical order first, because the swapped call would solve the negated
+    threshold system, whose singular vectors LAPACK does not return
+    bit-identically.
     """
     t = tol or x.tol
     if x.dim != y.dim:
         raise DimensionMismatchError(f"{x.name} and {y.name} live on different spaces")
+    if (y.matrix.tobytes(), y.spectrum) < (x.matrix.tobytes(), x.spectrum):
+        x, y = y, x
     dim = x.dim
     cuts = merged_values(x.spectrum, y.spectrum, max(x.snap_width, y.snap_width))
     differences = [x.threshold(cut).matrix - y.threshold(cut).matrix for cut in cuts]
@@ -506,8 +513,8 @@ def equivalence_relation_check(x: Observable, y: Observable, z: Observable,
     """Check that quantum equality behaves as an equivalence relation.
 
     Reflexivity must be numerically exact (identity to 1e-10), symmetry must
-    be bitwise (the construction is sign-symmetric), and transitivity holds
-    as the lattice inequality (X=Y) ^ (Y=Z) <= (X=Z).
+    be bitwise (``equality_projector`` orders its operands canonically), and
+    transitivity holds as the lattice inequality (X=Y) ^ (Y=Z) <= (X=Z).
     """
     t = tol or x.tol
     reflexive = opnorm(equality_projector(x, x, t).matrix - np.eye(x.dim))

@@ -4,9 +4,17 @@ Each criterion prints one machine-greppable verdict line.  Run with
 ``pytest tests/test_acceptance.py -s`` to stream the lines as they appear.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from qlogic.batteries import run_suite
+
+# Labels and verdicts of every check line at the recorded seed.  Residual
+# details vary with the BLAS build, so they are not pinned.
+SEED7_VERDICTS = json.loads(
+    (Path(__file__).parent / "data" / "battery_seed7_verdicts.json").read_text(encoding="utf-8"))
 
 # (suite, what the criterion asserts, wall-clock budget in seconds or None)
 CRITERIA = [
@@ -55,3 +63,9 @@ def test_acceptance(name, claim, budget_s):
     failed = [c for c in result.checks if not c.passed]
     assert not failed, "; ".join(f"{c.label}: {c.detail}" for c in failed)
     assert in_budget, f"{name} took {result.elapsed_s:.2f}s, budget {budget_s:.0f}s"
+
+
+@pytest.mark.parametrize("name", list(SEED7_VERDICTS))
+def test_seed7_labels_and_verdicts(name):
+    result = _suite(name)
+    assert [[c.label, c.passed] for c in result.checks] == SEED7_VERDICTS[name]

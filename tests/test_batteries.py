@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qlogic import batteries
 from qlogic.batteries import (
     BUILTIN_SUITES,
     DEFAULT_SEED,
@@ -11,7 +12,7 @@ from qlogic.batteries import (
     SuiteResult,
     run_suite,
 )
-from qlogic.errors import UnknownNameError
+from qlogic.errors import CrossCheckFailure, UnknownNameError
 
 EXPECTED_SUITES = {
     "lattice-laws",
@@ -74,3 +75,27 @@ def test_passed_reflects_check_lines():
     bad = SuiteResult("demo", 0, 0.0, [CheckLine("a", True), CheckLine("b", False, "gap")])
     assert not bad.passed
     assert bad.summary()["checks"][1]["detail"] == "gap"
+
+
+def test_a_raised_instance_fails_its_line_and_is_named(monkeypatch):
+    original = batteries.equality_projector
+    calls = []
+
+    def fails_on_the_fifth_call(x, y, tol=None):
+        calls.append(None)
+        if len(calls) == 5:
+            raise CrossCheckFailure("injected")
+        return original(x, y, tol)
+
+    monkeypatch.setattr(batteries, "equality_projector", fails_on_the_fifth_call)
+    routes = run_suite("equality").checks[0]
+    assert routes.label == "threshold-kernel and cross-term routes agree on 200 pairs"
+    assert not routes.passed
+    assert routes.detail == ("1 disagreements; 1 raised, "
+                             "first instance 4: CrossCheckFailure: injected")
+
+
+@pytest.mark.parametrize("seed", [1, 3, 5])
+def test_equivalence_relation_suite_passes_beyond_the_recorded_seed(seed):
+    result = run_suite("equivalence-relation", seed)
+    assert result.passed, [c for c in result.checks if not c.passed]

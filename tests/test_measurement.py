@@ -74,6 +74,13 @@ def test_povm_validation():
         POVM([0.0, 1.0], [np.array([[0.5, 0.5j], [0.5j, 0.5]]), half])
 
 
+def test_povm_rejects_non_real_labels():
+    half = np.eye(2, dtype=complex) / 2.0
+    for labels in ([(0.0, 0.0), (1.0, 1.0)], [0.0, 1j], ["up", "down"]):
+        with pytest.raises(NotAPOVMError, match="is not a real number"):
+            POVM(labels, [half, half])
+
+
 def test_povm_element_lookup():
     e0 = np.diag([1.0, 0.0]).astype(complex)
     e1 = np.diag([0.0, 1.0]).astype(complex)
@@ -200,13 +207,6 @@ def test_naimark_distribution_matches_povm(rng):
     for label, element in zip(povm.outcomes, povm.elements):
         direct = float(np.real(np.trace(element @ state.matrix)))
         assert dist[float(label)] == pytest.approx(direct, abs=1e-10)
-
-
-def test_naimark_rejects_tuple_labels():
-    half = np.eye(2, dtype=complex) / 2.0
-    povm = POVM([(0.0, 0.0), (1.0, 1.0)], [half, half])
-    with pytest.raises(NotAPOVMError):
-        naimark_process(povm)
 
 
 def test_naimark_rejects_indistinguishable_labels():

@@ -268,6 +268,7 @@ def test_cli_overflowing_process_unitary_exits_2(qubit_document, tmp_path):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: $.processes.pointer: ")
+    assert "coupling U has entries that overflow its unitarity check" in result.stderr
 
 
 def test_cli_argparse_exits(scenario_file):
