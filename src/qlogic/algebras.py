@@ -31,15 +31,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateRandomizationError,
-    DimensionMismatchError,
-    FactorizationError,
-    QLogicError,
-)
+from .errors import DegenerateRandomizationError, DimensionMismatchError, QLogicError
 from .linalg import (
     commutator,
     dagger,
+    eigh,
     opnorm,
     opnorms,
     require_square,
@@ -258,27 +254,25 @@ def _opnorms_within(stack: np.ndarray, limit: float) -> bool:
             or bool(np.all(opnorms(stack) <= limit)))
 
 
-def contains(algebra: MatrixAlgebra, matrix, tol: ToleranceConfig | None = None) -> bool:
+def contains(algebra: MatrixAlgebra, matrix) -> bool:
     """Membership: M commutes with every commutant basis element."""
-    t = tol or algebra.tol
     m = require_square(matrix)
     if m.shape[0] != algebra.dim:
         raise DimensionMismatchError(f"matrix of dimension {m.shape[0]}, expected {algebra.dim}")
-    return _commutes_with(m, np.stack(algebra.commutant_basis), t)
+    return _commutes_with(m, np.stack(algebra.commutant_basis), algebra.tol)
 
 
-def center(algebra: MatrixAlgebra, tol: ToleranceConfig | None = None) -> list[np.ndarray]:
+def center(algebra: MatrixAlgebra) -> list[np.ndarray]:
     """HS-orthonormal basis of the center, as a span intersection.
 
     Intersection of span(basis) and span(commutant_basis) in vec space, via
     the same kernel-of-sum-of-complements route the projector meet uses.
     """
-    t = tol or algebra.tol
     n2 = algebra.dim * algebra.dim
     a, b = _stack(algebra.basis), _stack(algebra.commutant_basis)
     eye = np.eye(n2, dtype=complex)
     gap = (eye - a @ dagger(a)) + (eye - b @ dagger(b))
-    vectors = solution_basis(gap, n2, t)
+    vectors = solution_basis(gap, n2, algebra.tol)
     return [vectors[:, k].reshape(algebra.dim, algebra.dim) for k in range(vectors.shape[1])]
 
 
@@ -295,8 +289,7 @@ def _cluster_indices(values: np.ndarray, width: float) -> list[np.ndarray]:
     return [np.asarray(g) for g in groups]
 
 
-def minimal_central_projections(algebra: MatrixAlgebra,
-                                tol: ToleranceConfig | None = None) -> list[Projector]:
+def minimal_central_projections(algebra: MatrixAlgebra) -> list[Projector]:
     """The minimal projections of the center, ordered by first eigenvalue.
 
     A random Hermitian combination of the center basis separates the central
@@ -304,8 +297,8 @@ def minimal_central_projections(algebra: MatrixAlgebra,
     verified (central, minimal, mutually orthogonal, summing to one) and the
     randomization is retried when a check fails.
     """
-    t = tol or algebra.tol
-    zbasis = center(algebra, t)
+    t = algebra.tol
+    zbasis = center(algebra)
     hermitian_parts: list[np.ndarray] = []
     for z in zbasis:
         for h in ((z + dagger(z)) / 2.0, (z - dagger(z)) / 2.0j):
@@ -318,16 +311,12 @@ def minimal_central_projections(algebra: MatrixAlgebra,
     for _ in range(_CENTRAL_ATTEMPTS):
         coeffs = rng.standard_normal(len(hermitian_parts))
         h = sum(c * part for c, part in zip(coeffs, hermitian_parts))
-        try:
-            eigenvalues, eigenvectors = np.linalg.eigh((h + dagger(h)) / 2.0)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError(
-                f"eigendecomposition of a central element did not converge: {exc}") from exc
+        eigenvalues, eigenvectors = eigh((h + dagger(h)) / 2.0)
         width = t.cluster_tol * max(1.0, float(np.max(np.abs(eigenvalues))))
         clusters = _cluster_indices(eigenvalues, width)
         candidates = [Projector(eigenvectors[:, idx], dim=algebra.dim, tol=t)
                       for idx in clusters]
-        ok, failure = _verify_minimal_central(candidates, algebra, zbasis, t)
+        ok, failure = _verify_minimal_central(candidates, algebra, zbasis)
         if ok:
             return candidates
     raise DegenerateRandomizationError(
@@ -336,15 +325,15 @@ def minimal_central_projections(algebra: MatrixAlgebra,
 
 
 def _verify_minimal_central(candidates: list[Projector], algebra: MatrixAlgebra,
-                            zbasis: list[np.ndarray],
-                            t: ToleranceConfig) -> tuple[bool, str]:
+                            zbasis: list[np.ndarray]) -> tuple[bool, str]:
+    t = algebra.tol
     total = sum(p.matrix for p in candidates)
     if opnorm(total - np.eye(algebra.dim)) > t.assert_tol:
         return False, "candidates do not sum to the identity"
     basis = np.stack(algebra.basis)
     limits = t.assert_tol * np.maximum(1.0, opnorms(basis))
     for p in candidates:
-        if not contains(algebra, p.matrix, t):
+        if not contains(algebra, p.matrix):
             return False, "candidate not in the algebra"
         if np.any(opnorms(commutator(p.matrix, basis)) > limits):
             return False, "candidate not central"

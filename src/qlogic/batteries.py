@@ -215,50 +215,50 @@ def _suite_lattice_laws(rng: np.random.Generator, tol: ToleranceConfig) -> list[
         r = random_projector(dim, rng, tol=tol)
 
         sub = random_subprojector(q, rng)
-        lhs = ortho(q, tol)
-        rhs = ortho(sub, tol)
+        lhs = ortho(q)
+        rhs = ortho(sub)
         order.see(opnorm(rhs.matrix @ lhs.matrix - lhs.matrix))
 
-        double_ortho_ok = double_ortho_ok and (ortho(ortho(p, tol), tol) is p)
+        double_ortho_ok = double_ortho_ok and (ortho(ortho(p)) is p)
 
         de_morgan.see(
-            _gap(join(p, ortho(p, tol), tol), Projector.identity(dim, tol)),
-            _gap(meet(p, ortho(p, tol), tol), Projector.zero(dim, tol)),
-            _gap(ortho(join(p, q, tol), tol), meet(ortho(p, tol), ortho(q, tol), tol)),
-            _gap(ortho(meet(p, q, tol), tol), join(ortho(p, tol), ortho(q, tol), tol)),
+            _gap(join(p, ortho(p)), Projector.identity(dim, tol)),
+            _gap(meet(p, ortho(p)), Projector.zero(dim, tol)),
+            _gap(ortho(join(p, q)), meet(ortho(p), ortho(q))),
+            _gap(ortho(meet(p, q)), join(ortho(p), ortho(q))),
         )
 
-        below = meet(q, r, tol)
-        rebuilt = join(below, meet(ortho(below, tol), q, tol), tol)
+        below = meet(q, r)
+        rebuilt = join(below, meet(ortho(below), q))
         orthomodular.see(_gap(rebuilt, q))
 
-        residual = _gap(join(meet(p, q, tol), meet(p, ortho(q, tol), tol), tol), p)
-        commuting = commutes(p, q, tol)
+        residual = _gap(join(meet(p, q), meet(p, ortho(q))), p)
+        commuting = commutes(p, q)
         decomposition.see(residual if commuting else 0.0)
         decomposition.score(commuting == (residual <= tol.assert_tol))
 
         qq, (p1, p2) = _family_commuting_with(dim, 2, rng, tol)
         identities = [
-            (meet(qq, join(p1, p2, tol), tol), join(meet(qq, p1, tol), meet(qq, p2, tol), tol)),
-            (join(qq, meet(p1, p2, tol), tol), meet(join(qq, p1, tol), join(qq, p2, tol), tol)),
-            (meet(p1, join(p2, qq, tol), tol), join(meet(p1, p2, tol), meet(p1, qq, tol), tol)),
-            (join(p1, meet(p2, qq, tol), tol), meet(join(p1, p2, tol), join(p1, qq, tol), tol)),
-            (meet(p2, join(p1, qq, tol), tol), join(meet(p2, p1, tol), meet(p2, qq, tol), tol)),
-            (join(p2, meet(p1, qq, tol), tol), meet(join(p2, p1, tol), join(p2, qq, tol), tol)),
+            (meet(qq, join(p1, p2)), join(meet(qq, p1), meet(qq, p2))),
+            (join(qq, meet(p1, p2)), meet(join(qq, p1), join(qq, p2))),
+            (meet(p1, join(p2, qq)), join(meet(p1, p2), meet(p1, qq))),
+            (join(p1, meet(p2, qq)), meet(join(p1, p2), join(p1, qq))),
+            (meet(p2, join(p1, qq)), join(meet(p2, p1), meet(p2, qq))),
+            (join(p2, meet(p1, qq)), meet(join(p2, p1), join(p2, qq))),
         ]
         six_forms.see(*(_gap(a, b) for a, b in identities))
 
         k = int(rng.integers(2, 5))
         qq, family = _family_commuting_with(dim, k, rng, tol)
-        lhs = meet(qq, join_all(family, dim=dim, tol=tol), tol)
-        rhs = join_all([meet(qq, f, tol) for f in family], dim=dim, tol=tol)
+        lhs = meet(qq, join_all(family, dim=dim))
+        rhs = join_all([meet(qq, f) for f in family], dim=dim)
         family_law.see(_gap(lhs, rhs))
 
     z_up = Projector.from_matrix(np.diag([1.0, 0.0]).astype(complex), tol)
     x_up = Projector.from_matrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex), tol)
-    x_down = ortho(x_up, tol)
-    violation = _gap(meet(z_up, join(x_up, x_down, tol), tol),
-                     join(meet(z_up, x_up, tol), meet(z_up, x_down, tol), tol))
+    x_down = ortho(x_up)
+    violation = _gap(meet(z_up, join(x_up, x_down)),
+                     join(meet(z_up, x_up), meet(z_up, x_down)))
 
     a = tol.assert_tol
     return [
@@ -303,10 +303,10 @@ def _suite_commutator_routes(rng: np.random.Generator, tol: ToleranceConfig) -> 
         else:
             family = _block_projector_family(dim, count, rng, tol)
         with routes.attempt(i, pairwise):
-            a = com_family(family, tol)
-            routes.see(_gap(a, com_kernel(family, tol)))
+            a = com_family(family)
+            routes.see(_gap(a, com_kernel(family)))
             if count == 2:
-                pairwise.see(_gap(a, com_pair(family[0], family[1], tol)))
+                pairwise.see(_gap(a, com_pair(family[0], family[1])))
 
     monotone = True
     for i in range(100):
@@ -315,9 +315,9 @@ def _suite_commutator_routes(rng: np.random.Generator, tol: ToleranceConfig) -> 
             family = [random_projector(dim, rng, tol=tol) for _ in range(3)]
         else:
             family = _block_projector_family(dim, 3, rng, tol)
-        whole = com_family(family, tol)
-        part = com_family(family[:2], tol)
-        monotone = monotone and leq(whole, part, tol)
+        whole = com_family(family)
+        part = com_family(family[:2])
+        monotone = monotone and leq(whole, part)
 
     a = tol.assert_tol
     return [
@@ -345,16 +345,16 @@ def _suite_spectral_identities(rng: np.random.Generator,
                 float(rng.choice(spectrum)) + 0.5 * delta]
         for t in cuts:
             threshold.see(_gap(x.threshold(t), x.spectral_projector(BorelSet.up_to(t))))
-            tail.see(_gap(ortho(x.threshold(t), tol), x.spectral_projector(BorelSet.above(t))))
+            tail.see(_gap(ortho(x.threshold(t)), x.spectral_projector(BorelSet.above(t))))
         lo, hi = sorted(rng.uniform(spectrum[0] - 1.0, spectrum[-1] + 1.0, size=2))
         if hi - lo > x.snap_width:
-            window.see(_gap(meet(x.threshold(hi), ortho(x.threshold(lo), tol), tol),
+            window.see(_gap(meet(x.threshold(hi), ortho(x.threshold(lo))),
                             x.spectral_projector(BorelSet.left_open(lo, hi))))
         v = float(rng.choice(spectrum))
         singleton = x.spectral_projector(BorelSet.point(v))
         point.see(
             _gap(singleton, x.eigenprojector_at(v)),
-            _gap(singleton, meet(x.threshold(v + delta), ortho(x.threshold(v - delta), tol), tol)),
+            _gap(singleton, meet(x.threshold(v + delta), ortho(x.threshold(v - delta)))),
         )
 
     a = tol.assert_tol
@@ -394,8 +394,8 @@ def _suite_com_expansion(rng: np.random.Generator, tol: ToleranceConfig) -> list
             if grid > 4096:
                 raise FamilyTooLargeError(f"atom grid {grid} exceeds 4096")
             biggest_grid = max(biggest_grid, grid)
-            span = common_eigenvector_projector(xs, "determinate", tol)
-            expansion.see(_gap(span, com_observables(xs, tol)))
+            span = common_eigenvector_projector(xs, "determinate")
+            expansion.see(_gap(span, com_observables(xs)))
     return [
         expansion.residual_line("join-of-meets expansion equals the commutator on 50 families",
                                 tol.assert_tol, "max gap",
@@ -417,7 +417,7 @@ def _suite_determinateness(rng: np.random.Generator, tol: ToleranceConfig) -> li
                 count = int(rng.integers(2, 4))
                 xs = random_commuting_observables(dim, count, rng, tol)
                 state = random_density(dim, rng, tol=tol)
-                report = determinateness_battery(xs, state, tol)
+                report = determinateness_battery(xs, state)
                 commuting.score(report.holds)
                 if report.distribution is not None:
                     for values, mass in report.distribution.sorted_items():
@@ -428,24 +428,24 @@ def _suite_determinateness(rng: np.random.Generator, tol: ToleranceConfig) -> li
             elif style == 1:
                 dim = int(rng.integers(4, 7))
                 xs, state = random_determinate_family(dim, int(rng.integers(2, 4)), rng, tol)
-                block_positive.score(determinateness_battery(xs, state, tol).holds)
+                block_positive.score(determinateness_battery(xs, state).holds)
             elif style == 2:
                 dim = int(rng.integers(4, 7))
                 xs, _ = random_determinate_family(dim, int(rng.integers(2, 4)), rng, tol)
                 state = random_density(dim, rng, rank=dim, tol=tol)
-                report = determinateness_battery(xs, state, tol)
+                report = determinateness_battery(xs, state)
                 block_negative.score(not any(report.clauses.values()))
             else:
                 dim = int(rng.integers(2, 6))
                 xs = [random_observable(f"X{k + 1}", dim, rng, tol=tol)
                       for k in range(int(rng.integers(2, 4)))]
                 state = random_density(dim, rng, tol=tol)
-                determinateness_battery(xs, state, tol)
+                determinateness_battery(xs, state)
 
     sigma_z = spectral_decompose("Z", np.diag([1.0, -1.0]).astype(complex), tol)
     sigma_x = spectral_decompose("X", np.array([[0, 1], [1, 0]], dtype=complex), tol)
     pauli = determinateness_battery(
-        [sigma_z, sigma_x], DensityState.maximally_mixed(2, tol), tol)
+        [sigma_z, sigma_x], DensityState.maximally_mixed(2, tol))
     pauli_all_false = not any(pauli.clauses.values())
 
     return [
@@ -480,7 +480,7 @@ def _suite_equality(rng: np.random.Generator, tol: ToleranceConfig) -> list[Chec
                 y = random_observable("Y", dim, rng, tol=tol)
             else:
                 x, y, _ = random_agreeing_pair(max(dim, 4), rng, tol)
-            equality_projector(x, y, tol)
+            equality_projector(x, y)
 
     coherence, positives, negatives = _Tally(), _Tally(), _Tally()
     for i in range(300):
@@ -488,12 +488,12 @@ def _suite_equality(rng: np.random.Generator, tol: ToleranceConfig) -> list[Chec
         with coherence.attempt(i):
             if style == 0:
                 x, y, state = random_agreeing_pair(int(rng.integers(4, 7)), rng, tol)
-                positives.score(equality_battery(x, y, state, tol).holds)
+                positives.score(equality_battery(x, y, state).holds)
             elif style == 1:
                 dim = int(rng.integers(2, 6))
                 x = random_observable("X", dim, rng, tol=tol)
                 state = random_vector_state(dim, rng, tol)
-                positives.score(equality_battery(x, _renamed(x, "Y"), state, tol).holds)
+                positives.score(equality_battery(x, _renamed(x, "Y"), state).holds)
             else:
                 if style == 2:
                     dim = int(rng.integers(2, 6))
@@ -503,7 +503,7 @@ def _suite_equality(rng: np.random.Generator, tol: ToleranceConfig) -> list[Chec
                 else:
                     x, y, _ = random_agreeing_pair(int(rng.integers(4, 7)), rng, tol)
                     state = random_density(x.dim, rng, rank=x.dim, tol=tol)
-                report = equality_battery(x, y, state, tol)
+                report = equality_battery(x, y, state)
                 if not report.holds:
                     negatives.score(not any(report.clauses.values()))
 
@@ -514,8 +514,8 @@ def _suite_equality(rng: np.random.Generator, tol: ToleranceConfig) -> list[Chec
     bell_vector = np.zeros(4, dtype=complex)
     bell_vector[0] = bell_vector[3] = 1.0 / np.sqrt(2.0)
     bell = DensityState.from_vector(bell_vector, tol)
-    q = equality_projector(first, second, tol)
-    bell_probability = projector_probability(q, bell, tol)
+    q = equality_projector(first, second)
+    bell_probability = projector_probability(q, bell)
     expected_span = np.zeros((4, 4), dtype=complex)
     expected_span[0, 0] = expected_span[3, 3] = 1.0
     bell_ok = abs(1.0 - bell_probability) <= 1e-10 and _gap(
@@ -553,7 +553,7 @@ def _suite_equivalence_relation(rng: np.random.Generator,
             x = random_observable("X", dim, rng, tol=tol)
             y = random_observable("Y", dim, rng, tol=tol)
             z = random_observable("Z", dim, rng, tol=tol)
-        report = equivalence_relation_check(x, y, z, tol)
+        report = equivalence_relation_check(x, y, z)
         reflexive.see(report.reflexive_residual)
         symmetric = symmetric and report.symmetric_exact
         transitive = transitive and report.transitive
@@ -576,8 +576,8 @@ def _suite_common_eigenvectors(rng: np.random.Generator,
         count = 2 if i % 2 == 0 else 3
         xs = _mixed_observable_family(dim, count, i % 3, rng, tol)
         with determinate.attempt(i):
-            span = common_eigenvector_projector(xs, "determinate", tol)
-            determinate.see(_gap(span, com_observables(xs, tol)))
+            span = common_eigenvector_projector(xs, "determinate")
+            determinate.see(_gap(span, com_observables(xs)))
 
     equal = _Tally()
     for i in range(100):
@@ -591,8 +591,8 @@ def _suite_common_eigenvectors(rng: np.random.Generator,
             else:
                 x = random_observable("X", dim, rng, tol=tol)
                 y = random_observable("Y", dim, rng, tol=tol)
-            span = common_eigenvector_projector([x, y], "equal", tol)
-            equal.see(_gap(span, equality_projector(x, y, tol)))
+            span = common_eigenvector_projector([x, y], "equal")
+            equal.see(_gap(span, equality_projector(x, y)))
 
     a = tol.assert_tol
     return [
@@ -656,7 +656,7 @@ def _suite_tautology_transfer(rng: np.random.Generator,
             for v in variables:
                 pick = pool[int(rng.integers(0, len(pool)))]
                 assignment[v] = _random_atom(pick.name, pick, rng)
-            transfer.score(tautology_transfer_check(skeleton, assignment, registry, tol).passed)
+            transfer.score(tautology_transfer_check(skeleton, assignment, registry).passed)
     return [
         CheckLine("truth-table oracle certifies the 12 fixtures", oracle_ok),
         CheckLine("truth-table oracle rejects a non-tautology", non_tautology),
@@ -676,10 +676,10 @@ def _suite_measurement(rng: np.random.Generator, tol: ToleranceConfig) -> list[C
     cnot_z = _Tally()
     for _ in range(50):
         state = random_vector_state(2, rng, tol)
-        cnot_z.score(measurement_battery(cnot, sigma_z, state, tol).holds)
+        cnot_z.score(measurement_battery(cnot, sigma_z, state).holds)
 
     up = DensityState.from_vector(np.array([1.0, 0.0], dtype=complex), tol)
-    x_report = measurement_battery(cnot, sigma_x, up, tol)
+    x_report = measurement_battery(cnot, sigma_x, up)
     x_all_false = not any(x_report.clauses.values())
 
     coherence, pushforward = _Tally(), _Tally()
@@ -688,20 +688,20 @@ def _suite_measurement(rng: np.random.Generator, tol: ToleranceConfig) -> list[C
             if i % 3 == 0:
                 dim = int(rng.integers(2, 4))
                 a = random_observable("A", dim, rng, tol=tol)
-                process = measuring_process_for(a, tol)
+                process = measuring_process_for(a)
                 state = random_vector_state(dim, rng, tol)
-                measurement_battery(process, a, state, tol)
+                measurement_battery(process, a, state)
             elif i % 3 == 1:
                 dim_h = int(rng.integers(2, 4))
                 dim_k = int(rng.integers(2, 4))
                 process = random_measuring_process(dim_h, dim_k, rng, tol)
                 a = random_observable("A", dim_h, rng, tol=tol)
                 state = random_density(dim_h, rng, tol=tol)
-                measurement_battery(process, a, state, tol)
+                measurement_battery(process, a, state)
             else:
                 dim = int(rng.integers(2, 4))
                 a = random_observable("A", dim, rng, n_values=dim, tol=tol)
-                process = measuring_process_for(a, tol)
+                process = measuring_process_for(a)
                 squared = apply_outcome_function(process, lambda v: v * v)
                 base = povm_of_process(process)
                 pushed = povm_of_process(squared)
@@ -712,18 +712,18 @@ def _suite_measurement(rng: np.random.Generator, tol: ToleranceConfig) -> list[C
                         np.zeros((dim, dim), dtype=complex))
                     pushforward.see(opnorm(pushed.element(value) - expected))
                 state = random_vector_state(dim, rng, tol)
-                measurement_battery(squared, a.apply_function(lambda v: v * v), state, tol)
+                measurement_battery(squared, a.apply_function(lambda v: v * v), state)
 
     all_states = _Tally()
     for i in range(20):
         dim = int(rng.integers(2, 4))
         a = random_observable("A", dim, rng, tol=tol)
         if i % 2 == 0:
-            process = measuring_process_for(a, tol)
+            process = measuring_process_for(a)
         else:
             process = random_measuring_process(dim, int(rng.integers(2, 4)), rng, tol)
         with all_states.attempt(i):
-            report = global_measurement_check(process, a, spanning_state_sample(dim, tol), tol)
+            report = global_measurement_check(process, a, spanning_state_sample(dim, tol))
             all_states.score(report.holds == (i % 2 == 0))
 
     naimark = _Tally()
@@ -732,7 +732,7 @@ def _suite_measurement(rng: np.random.Generator, tol: ToleranceConfig) -> list[C
         outcomes = int(rng.integers(2, 5))
         povm = random_povm(dim, outcomes, rng, tol)
         with naimark.attempt(i):
-            induced = povm_of_process(naimark_process(povm, tol=tol))
+            induced = povm_of_process(naimark_process(povm))
             for label, element in zip(povm.outcomes, povm.elements):
                 naimark.see(opnorm(induced.element(float(label)) - element))
 
@@ -741,7 +741,7 @@ def _suite_measurement(rng: np.random.Generator, tol: ToleranceConfig) -> list[C
         dim = int(rng.integers(4, 6))
         (first, second), state = random_determinate_family(dim, 2, rng, tol)
         with witness.attempt(i):
-            report = simultaneous_measurability(first, second, state, tol)
+            report = simultaneous_measurability(first, second, state)
             witness.score(report.determinate and report.passed)
 
     return [

@@ -71,10 +71,10 @@ def _family_and_state(scenario: Scenario, names: Sequence[str], command: str):
 def _cmd_eval(args, tol: ToleranceConfig):
     scenario = load_scenario(args.scenario, tol)
     node = _lookup(scenario.propositions, args.proposition, "proposition")
-    projector = truth_value(node, scenario.registry, tol)
-    standard = is_standard(node, scenario.registry, tol)
+    projector = truth_value(node, scenario.registry)
+    standard = is_standard(node, scenario.registry)
     contextual = {
-        state_name: is_contextually_wellformed(node, scenario.registry, state, tol)
+        state_name: is_contextually_wellformed(node, scenario.registry, state)
         for state_name, state in sorted(scenario.states.items())
     }
     report = {
@@ -101,7 +101,7 @@ def _cmd_prob(args, tol: ToleranceConfig):
     scenario = load_scenario(args.scenario, tol)
     node = _lookup(scenario.propositions, args.proposition, "proposition")
     state = _lookup(scenario.states, args.state, "state")
-    value = probability(node, state, scenario.registry, tol)
+    value = probability(node, state, scenario.registry)
     report = {
         "command": "prob",
         "proposition": args.proposition,
@@ -117,14 +117,14 @@ def _cmd_check(args, tol: ToleranceConfig):
     observables, state = _family_and_state(scenario, args.names, "check")
     names, state_name = args.names[:-1], args.names[-1]
     if args.kind == "determinate":
-        result = determinateness_battery(observables, state, tol)
+        result = determinateness_battery(observables, state)
         rank_key = "com_rank"
         lines = [f"determinate({', '.join(names)}) in {state_name}: {result.holds}",
                  f"commutator projection rank {result.projector.rank} of {scenario.dimension}"]
     else:
         if len(observables) != 2:
             raise UnknownNameError("equality check needs exactly two observables and a state")
-        result = equality_battery(observables[0], observables[1], state, tol)
+        result = equality_battery(observables[0], observables[1], state)
         rank_key = "projector_rank"
         lines = [f"{names[0]} = {names[1]} in {state_name}: {result.holds}"]
     # The verdict's key is the kind itself: "determinate" or "equal".
@@ -148,7 +148,7 @@ def _cmd_jointdist(args, tol: ToleranceConfig):
     scenario = load_scenario(args.scenario, tol)
     observables, state = _family_and_state(scenario, args.names, "jointdist")
     names, state_name = args.names[:-1], args.names[-1]
-    distribution = determinateness_battery(observables, state, tol).distribution
+    distribution = determinateness_battery(observables, state).distribution
     report = {
         "command": "jointdist",
         "observables": list(names),
@@ -171,8 +171,8 @@ def _cmd_measure(args, tol: ToleranceConfig):
     process = _lookup(scenario.processes, args.process, "process")
     observable = _lookup(scenario.observables, args.observable, "observable")
     state = _lookup(scenario.states, args.state, "state")
-    result = measurement_battery(process, observable, state, tol)
-    distribution = output_distribution(process, state, tol)
+    result = measurement_battery(process, observable, state)
+    distribution = output_distribution(process, state)
     report = {
         "command": "measure",
         "process": args.process,

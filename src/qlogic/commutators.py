@@ -1,9 +1,12 @@
 """Commutator projections of projector families and observables.
 
-Three independent routes to the same object:
+Independent routes to the same object:
 
-* ``com_pair`` / ``com_family``: the lattice formula, a join of meets over
-  sign assignments of the family members;
+* ``com_family``: the lattice formula, a join of meets over sign
+  assignments of the family members;
+* ``com_pair``: for two projectors, the kernel of [P, Q], which by Halmos'
+  two-subspace theorem (Trans. AMS 144 (1969) 381-389) is the part of the
+  space where P and Q commute; it builds no meet;
 * ``com_kernel``: the joint kernel of the triple products [P1, P2] P3,
   which is linear-algebraic rather than lattice-built;
 * ``com_observables``: the spectral-family kernel route for observables,
@@ -14,7 +17,8 @@ Three independent routes to the same object:
   generators instead of |A| (|A| - 1) / 2 * d.
 
 The engine never collapses routes into each other: route agreement is the
-load-bearing correctness signal.
+load-bearing correctness signal.  Each function judges at the tolerance of its
+first projector, observable or family member.
 """
 
 from __future__ import annotations
@@ -26,31 +30,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebras import MatrixAlgebra, algebra_from_generators, minimal_central_projections
-from .errors import CrossCheckFailure, FamilyTooLargeError
+from .errors import CrossCheckFailure, DimensionMismatchError, FamilyTooLargeError
 from .linalg import commutator, dagger, max_pair_commutator_norm, opnorm, opnorms
 from .observables import Observable
-from .projectors import (
-    Projector,
-    common_null_space_projector,
-    join_all,
-    leq,
-    meet,
-    meet_all,
-    ortho,
-)
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .projectors import Projector, common_null_space_projector, join_all, leq, meet_all, ortho
+from .tolerances import ToleranceConfig
 
 _MAX_FAMILY = 12
 
 
-def com_pair(p: Projector, q: Projector, tol: ToleranceConfig = DEFAULT_TOL) -> Projector:
-    """Two-element commutator (P^Q) v (P^Q') v (P'^Q) v (P'^Q')."""
-    pc, qc = ortho(p, tol), ortho(q, tol)
-    parts = [meet(p, q, tol), meet(p, qc, tol), meet(pc, q, tol), meet(pc, qc, tol)]
-    return join_all(parts, dim=p.dim, tol=tol)
+def com_pair(p: Projector, q: Projector) -> Projector:
+    """Two-element commutator (P^Q) v (P^Q') v (P'^Q) v (P'^Q'), computed as
+    the kernel of [P, Q] (Halmos' two-subspace theorem)."""
+    if p.dim != q.dim:
+        raise DimensionMismatchError(f"projectors on different spaces: dims {p.dim}, {q.dim}")
+    return common_null_space_projector([commutator(p.matrix, q.matrix)], p.dim, p.tol)
 
 
-def com_family(family: Sequence[Projector], tol: ToleranceConfig = DEFAULT_TOL) -> Projector:
+def com_family(family: Sequence[Projector]) -> Projector:
     """Commutator of a finite family: join over all sign maps of the meets.
 
     Exponential in the family size by construction; families larger than
@@ -63,15 +60,15 @@ def com_family(family: Sequence[Projector], tol: ToleranceConfig = DEFAULT_TOL) 
         raise FamilyTooLargeError(
             f"family of size {len(members)} exceeds the sign-map expansion cap {_MAX_FAMILY}")
     dim = members[0].dim
-    signed = [(p, ortho(p, tol)) for p in members]
+    signed = [(p, ortho(p)) for p in members]
     meets = []
     for signs in itertools.product((0, 1), repeat=len(members)):
         chosen = [pair[s] for pair, s in zip(signed, signs)]
-        meets.append(meet_all(chosen, dim=dim, tol=tol))
-    return join_all(meets, dim=dim, tol=tol)
+        meets.append(meet_all(chosen, dim=dim))
+    return join_all(meets, dim=dim)
 
 
-def com_kernel(family: Sequence[Projector], tol: ToleranceConfig = DEFAULT_TOL) -> Projector:
+def com_kernel(family: Sequence[Projector]) -> Projector:
     """Commutator as the joint kernel of the triple products [P1, P2] P3.
 
     One constraint block per unordered pair and trailing member; the blocks
@@ -87,7 +84,7 @@ def com_kernel(family: Sequence[Projector], tol: ToleranceConfig = DEFAULT_TOL) 
     # the constraint blocks.
     blocks = [(commutator(cube[i], cube[i + 1:])[:, None] @ cube).reshape(-1, dim)
               for i in range(len(cube) - 1)]
-    return common_null_space_projector(blocks, dim, tol)
+    return common_null_space_projector(blocks, dim, members[0].tol)
 
 
 def threshold_family(observables: Sequence[Observable]) -> list[Projector]:
@@ -95,8 +92,7 @@ def threshold_family(observables: Sequence[Observable]) -> list[Projector]:
     return [x.threshold(v) for x in observables for v in x.spectrum]
 
 
-def com_observables(observables: Sequence[Observable],
-                    tol: ToleranceConfig = DEFAULT_TOL) -> Projector:
+def com_observables(observables: Sequence[Observable]) -> Projector:
     """Commutator of finitely many observables.
 
     Production route: the triple-product kernel over the cumulative spectral
@@ -108,7 +104,8 @@ def com_observables(observables: Sequence[Observable],
     characterize the same projection.
     """
     xs = list(observables)
-    spectral_route = com_kernel(threshold_family(xs), tol)
+    tol = xs[0].tol
+    spectral_route = com_kernel(threshold_family(xs))
     algebra_route = _algebra_route([x.matrix for x in xs], xs[0].dim, tol)
     gap = opnorm(spectral_route.matrix - algebra_route.matrix)
     if gap > tol.assert_tol:
@@ -142,8 +139,8 @@ class SubcommutatorReport:
         return self.central and self.compressions_commute and all(self.interval_commute)
 
 
-def verify_subcommutator(family: Sequence[Projector], algebra: MatrixAlgebra,
-                         tol: ToleranceConfig = DEFAULT_TOL) -> SubcommutatorReport:
+def verify_subcommutator(family: Sequence[Projector],
+                         algebra: MatrixAlgebra) -> SubcommutatorReport:
     """Report on the subcommutator role of com(F) inside the given algebra.
 
     Checks that E = com(F) is central, that the compressions P_i E commute
@@ -151,29 +148,29 @@ def verify_subcommutator(family: Sequence[Projector], algebra: MatrixAlgebra,
     under E (the interval property of the compatible part).
     """
     members = list(family)
-    e = com_family(members, tol)
+    e = com_family(members)
     basis = np.stack(algebra.basis)
     scale = max(1.0, float(np.max(opnorms(basis))))
-    central = bool(np.all(opnorms(commutator(e.matrix, basis)) <= tol.assert_tol * scale))
+    limit = members[0].tol.assert_tol * scale
+    central = bool(np.all(opnorms(commutator(e.matrix, basis)) <= limit))
     from .algebras import contains as algebra_contains
-    central = central and algebra_contains(algebra, e.matrix, tol)
-    compressions_commute = _compressed_family_commutes(members, e, tol)
+    central = central and algebra_contains(algebra, e.matrix)
+    compressions_commute = _compressed_family_commutes(members, e)
     interval_ranks: list[int] = []
     interval_commute: list[bool] = []
-    for c in minimal_central_projections(algebra, tol):
-        if leq(c, e, tol):
+    for c in minimal_central_projections(algebra):
+        if leq(c, e):
             interval_ranks.append(c.rank)
-            interval_commute.append(_compressed_family_commutes(members, c, tol))
+            interval_commute.append(_compressed_family_commutes(members, c))
     return SubcommutatorReport(com=e, central=central,
                                compressions_commute=compressions_commute,
                                interval_ranks=interval_ranks,
                                interval_commute=interval_commute)
 
 
-def _compressed_family_commutes(members: Sequence[Projector], central: Projector,
-                                tol: ToleranceConfig) -> bool:
+def _compressed_family_commutes(members: Sequence[Projector], central: Projector) -> bool:
     compressed = [p.matrix @ central.matrix for p in members]
-    return max_pair_commutator_norm(compressed) <= tol.assert_tol
+    return max_pair_commutator_norm(compressed) <= members[0].tol.assert_tol
 
 
 @dataclass
@@ -192,8 +189,8 @@ class FactorizationReport:
         return self.abelian_below and all(self.residual_nonabelian)
 
 
-def boolean_factorization_check(family: Sequence[Projector], algebra: MatrixAlgebra,
-                                tol: ToleranceConfig = DEFAULT_TOL) -> FactorizationReport:
+def boolean_factorization_check(family: Sequence[Projector],
+                                algebra: MatrixAlgebra) -> FactorizationReport:
     """Check the two-sided factorization along c = com(F).
 
     Below c the compressed algebra must be abelian; below every minimal
@@ -201,15 +198,16 @@ def boolean_factorization_check(family: Sequence[Projector], algebra: MatrixAlge
     Boolean factor survives on the incompatible side.
     """
     members = list(family)
-    c = com_family(members, tol)
+    c = com_family(members)
+    tol = members[0].tol
     worst = max_pair_commutator_norm(algebra.basis, c.matrix)
     abelian_below = worst <= tol.assert_tol
-    c_perp = ortho(c, tol)
+    c_perp = ortho(c)
     blocks: list[int] = []
     flags: list[bool] = []
     norms: list[float] = []
-    for e in minimal_central_projections(algebra, tol):
-        if not leq(e, c_perp, tol):
+    for e in minimal_central_projections(algebra):
+        if not leq(e, c_perp):
             continue
         peak = max_pair_commutator_norm(algebra.basis, e.matrix)
         blocks.append(e.rank)

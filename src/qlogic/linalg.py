@@ -9,10 +9,11 @@ pairs of a family, formed one stacked row of pairs at a time.  The batched
 forms give each matrix the bits ``opnorm`` gives it.  Likewise
 ``solution_bases`` solves a stack of equal-shape homogeneous systems in one
 batched SVD call and gives each system the bits ``solution_basis`` gives it.
-Every SVD here that fails to converge raises ``NonFiniteError`` when its input
-holds a non-finite entry and ``FactorizationError`` otherwise, and a norm that
-is not finite raises ``NonFiniteError``, so no ``opnorm(...) > tol`` guard can
-pass on NaN.
+Every SVD or Hermitian eigendecomposition in the package goes through ``_svd``
+or ``eigh`` here; one that fails to converge raises ``NonFiniteError`` when its
+input holds a non-finite entry and ``FactorizationError`` otherwise, and a
+norm that is not finite raises ``NonFiniteError``, so no ``opnorm(...) > tol``
+guard can pass on NaN.
 """
 
 from __future__ import annotations
@@ -51,11 +52,12 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).T
 
 
-def _svd_failure(a: np.ndarray, exc: np.linalg.LinAlgError) -> QLogicError:
-    """The typed error for an SVD of ``a`` that did not converge."""
+def _factorization_failure(a: np.ndarray, exc: np.linalg.LinAlgError,
+                           what: str) -> QLogicError:
+    """The typed error for a factorization of ``a`` that did not converge."""
     if not np.isfinite(a).all():
         return NonFiniteError(f"a {a.shape} array has non-finite entries")
-    return FactorizationError(f"SVD of a {a.shape} array did not converge: {exc}")
+    return FactorizationError(f"{what} of a {a.shape} array did not converge: {exc}")
 
 
 def _svd(a: np.ndarray, **options):
@@ -63,7 +65,15 @@ def _svd(a: np.ndarray, **options):
     try:
         return np.linalg.svd(a, **options)
     except np.linalg.LinAlgError as exc:
-        raise _svd_failure(a, exc) from exc
+        raise _factorization_failure(a, exc, "SVD") from exc
+
+
+def eigh(hermitian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh``, with non-convergence raised as a typed error."""
+    try:
+        return np.linalg.eigh(hermitian)
+    except np.linalg.LinAlgError as exc:
+        raise _factorization_failure(hermitian, exc, "eigendecomposition") from exc
 
 
 def _non_finite_norm(a: np.ndarray) -> NonFiniteError:
@@ -85,7 +95,7 @@ def opnorm(m) -> float:
     try:
         norm = float(np.linalg.norm(m, 2))
     except np.linalg.LinAlgError as exc:
-        raise _svd_failure(m, exc) from exc
+        raise _factorization_failure(m, exc, "SVD") from exc
     if not math.isfinite(norm):
         raise _non_finite_norm(m)
     return norm
@@ -151,7 +161,7 @@ def hermitian_eig(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarra
     skew_norm = opnorm(skew)
     if skew_norm > tol.assert_tol * scale:
         raise NotHermitianError(f"matrix is {skew_norm:.3e} from Hermitian")
-    eigenvalues, eigenvectors = np.linalg.eigh(sym)
+    eigenvalues, eigenvectors = eigh(sym)
     n = m.shape[0]
     residual = opnorm(sym - eigenvectors @ np.diag(eigenvalues) @ dagger(eigenvectors))
     gram = opnorm(dagger(eigenvectors) @ eigenvectors - np.eye(n))

@@ -8,7 +8,9 @@ the state-independent check against the POVM, the probe dilation of an
 arbitrary POVM, and the joint-measurability construction for simultaneously
 determinate pairs all live here.  Both batteries return the package's one
 ``ClauseReport`` (from ``qlogic.states``), which raises InconsistentBattery
-when the clauses disagree.
+when the clauses disagree.  The measurement predicates judge at the process's
+tolerance, the dilation at the POVM's, and the joint-measurability
+construction at the state's.
 """
 
 from __future__ import annotations
@@ -28,7 +30,16 @@ from .errors import (
     NotUnitaryError,
     QLogicError,
 )
-from .linalg import dagger, kron, matrices_commute, opnorm, partial_trace_second, require_square
+from .linalg import (
+    _svd,
+    dagger,
+    eigh,
+    kron,
+    matrices_commute,
+    opnorm,
+    partial_trace_second,
+    require_square,
+)
 from .observables import Observable, embed_first, embed_second, heisenberg, spectral_decompose
 from .projectors import Projector
 from .states import (
@@ -65,7 +76,7 @@ class POVM:
         for m in mats:
             if opnorm(m - dagger(m)) > tol.assert_tol:
                 raise NotAPOVMError("effect is not Hermitian within tolerance")
-            smallest = float(np.min(np.linalg.eigvalsh((m + dagger(m)) / 2.0)))
+            smallest = float(np.min(eigh((m + dagger(m)) / 2.0)[0]))
             if smallest < -tol.assert_tol:
                 raise NotAPOVMError(f"effect has negative eigenvalue {smallest:.3e}")
             total = total + m
@@ -127,8 +138,7 @@ class MeasuringProcess:
     def meter_after(self) -> Observable:
         """The pointer in the Heisenberg picture: U^dag (1 (x) M) U."""
         if self._meter_after is None:
-            self._meter_after = heisenberg(
-                embed_second(self.meter, self.dim_h), self.unitary, self.tol)
+            self._meter_after = heisenberg(embed_second(self.meter, self.dim_h), self.unitary)
         return self._meter_after
 
     def __repr__(self) -> str:
@@ -146,21 +156,24 @@ def povm_of_process(process: MeasuringProcess) -> POVM:
     return POVM(process.meter_after.spectrum, elements, process.tol)
 
 
-def output_distribution(process: MeasuringProcess, state: DensityState,
-                        tol: ToleranceConfig | None = None) -> dict[float, float]:
+def _joint_state(process: MeasuringProcess, state: DensityState) -> DensityState:
+    """rho (x) sigma on the joint space, at the process's tolerance."""
+    return DensityState.from_matrix(kron(state.matrix, process.probe.matrix), process.tol)
+
+
+def output_distribution(process: MeasuringProcess, state: DensityState) -> dict[float, float]:
     """Outcome distribution, computed on the joint space and via the POVM.
 
     The two routes must agree to 1e-10; their disagreement would mean the
     partial trace and the joint-space expectation have diverged.
     """
-    t = tol or process.tol
     if state.dim != process.dim_h:
         raise DimensionMismatchError("state does not live on the object space")
-    joint = state.tensor(process.probe)
+    joint = _joint_state(process, state)
     povm = povm_of_process(process)
     out: dict[float, float] = {}
     for value, projector in zip(process.meter_after.spectrum, process.meter_after.eigenprojectors):
-        via_joint = projector_probability(projector, joint, t)
+        via_joint = projector_probability(projector, joint)
         via_povm = float(np.real(np.trace(povm.element(value) @ state.matrix)))
         if abs(via_joint - via_povm) > 1e-10:
             raise CrossCheckFailure(
@@ -171,23 +184,20 @@ def output_distribution(process: MeasuringProcess, state: DensityState,
 
 
 def measures_in_state(process: MeasuringProcess, observable: Observable,
-                      state: DensityState, tol: ToleranceConfig | None = None) -> bool:
+                      state: DensityState) -> bool:
     """The process measures the observable in the state: object value before
     coupling equals pointer value after, as quantum equality in rho (x) sigma."""
-    t = tol or process.tol
     embedded = embed_first(observable, process.dim_k)
-    joint = state.tensor(process.probe)
-    return equal_in_state(embedded, process.meter_after, joint, t)
+    return equal_in_state(embedded, process.meter_after, _joint_state(process, state))
 
 
 def weakly_measures(process: MeasuringProcess, observable: Observable,
-                    state: DensityState, tol: ToleranceConfig | None = None) -> bool:
+                    state: DensityState) -> bool:
     """Weak joint distribution of pointer and object values is diagonal.
 
     Over all outcome/spectral atoms m, a: Tr[Pi({m}) E({a}) rho] equals
     Tr[E({m} cap {a}) rho].
     """
-    t = tol or process.tol
     povm = povm_of_process(process)
     width = max(observable.snap_width, process.meter_after.snap_width)
     atoms = merged_values(povm.outcomes, observable.spectrum, width)
@@ -200,46 +210,42 @@ def weakly_measures(process: MeasuringProcess, observable: Observable,
                 rhs = complex(np.trace(observable.eigenprojector_at(a).matrix @ state.matrix))
             else:
                 rhs = 0.0
-            if abs(lhs - rhs) > t.assert_tol:
+            if abs(lhs - rhs) > process.tol.assert_tol:
                 return False
     return True
 
 
 def satisfies_bsf(process: MeasuringProcess, observable: Observable,
-                  state: DensityState, tol: ToleranceConfig | None = None) -> bool:
+                  state: DensityState) -> bool:
     """Born statistics for every vector state of the cyclic subspace.
 
     Compressing Pi({v}) - E({v}) to the cyclic subspace of the observable in
     the state tests all its vector states at once (polarization).
     """
-    t = tol or process.tol
-    cyclic = cyclic_projector([observable], state, t)
+    cyclic = cyclic_projector([observable], state)
     povm = povm_of_process(process)
     width = max(observable.snap_width, process.meter_after.snap_width)
     atoms = merged_values(povm.outcomes, observable.spectrum, width)
     for v in atoms:
         gap = povm.element(v, width) - observable.eigenprojector_at(v).matrix
-        if opnorm(cyclic.matrix @ gap @ cyclic.matrix) > t.assert_tol:
+        if opnorm(cyclic.matrix @ gap @ cyclic.matrix) > process.tol.assert_tol:
             return False
     return True
 
 
 def measurement_battery(process: MeasuringProcess, observable: Observable,
-                        state: DensityState,
-                        tol: ToleranceConfig | None = None) -> ClauseReport:
+                        state: DensityState) -> ClauseReport:
     """Evaluate the three equivalent measurement predicates independently."""
-    t = tol or process.tol
     clauses = {
-        "equality_on_joint_state": measures_in_state(process, observable, state, t),
-        "weak_joint_distribution": weakly_measures(process, observable, state, t),
-        "born_on_cyclic": satisfies_bsf(process, observable, state, t),
+        "equality_on_joint_state": measures_in_state(process, observable, state),
+        "weak_joint_distribution": weakly_measures(process, observable, state),
+        "born_on_cyclic": satisfies_bsf(process, observable, state),
     }
     return ClauseReport.checked("measurement", clauses)
 
 
 def global_measurement_check(process: MeasuringProcess, observable: Observable,
-                             states: Sequence[DensityState],
-                             tol: ToleranceConfig | None = None) -> ClauseReport:
+                             states: Sequence[DensityState]) -> ClauseReport:
     """The process measures in every state iff its POVM is the spectral measure.
 
     Clauses ``all_states_measure`` and ``povm_is_spectral``; the residual of
@@ -247,8 +253,7 @@ def global_measurement_check(process: MeasuringProcess, observable: Observable,
     Hermitian operators for the first clause to be a faithful stand-in for
     "every state"; `spanning_state_sample` provides such a sample.
     """
-    t = tol or process.tol
-    all_measure = all(measures_in_state(process, observable, s, t) for s in states)
+    all_measure = all(measures_in_state(process, observable, s) for s in states)
     povm = povm_of_process(process)
     width = max(observable.snap_width, process.meter_after.snap_width)
     atoms = merged_values(povm.outcomes, observable.spectrum, width)
@@ -256,7 +261,8 @@ def global_measurement_check(process: MeasuringProcess, observable: Observable,
     for v in atoms:
         worst = max(worst, opnorm(povm.element(v, width)
                                   - observable.eigenprojector_at(v).matrix))
-    clauses = {"all_states_measure": all_measure, "povm_is_spectral": worst <= t.assert_tol}
+    clauses = {"all_states_measure": all_measure,
+               "povm_is_spectral": worst <= process.tol.assert_tol}
     return ClauseReport.checked("global measurement", clauses, {"povm_is_spectral": worst})
 
 
@@ -278,7 +284,7 @@ def spanning_state_sample(dim: int, tol: ToleranceConfig = DEFAULT_TOL) -> list[
 
 
 def _psd_sqrt(matrix: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    values, vectors = np.linalg.eigh((matrix + dagger(matrix)) / 2.0)
+    values, vectors = eigh((matrix + dagger(matrix)) / 2.0)
     # The square root turns eigenvalue noise of size eps into sqrt(eps)
     # contamination outside the true range, so the noise floor is zeroed
     # rather than merely clipped at zero.
@@ -287,8 +293,7 @@ def _psd_sqrt(matrix: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     return (vectors * np.sqrt(cleaned)) @ dagger(vectors)
 
 
-def naimark_process(povm: POVM, meter_name: str = "M",
-                    tol: ToleranceConfig | None = None) -> MeasuringProcess:
+def naimark_process(povm: POVM, meter_name: str = "M") -> MeasuringProcess:
     """Dilate a POVM to a measuring process on H (x) C^m with a sharp pointer.
 
     The probe starts in the first basis state, the coupling extends the
@@ -297,7 +302,7 @@ def naimark_process(povm: POVM, meter_name: str = "M",
     labels as eigenvalues.  The induced POVM of the result is verified to
     reproduce the input.
     """
-    t = tol or povm.tol
+    t = povm.tol
     labels = [float(v) for v in povm.outcomes]
     m = len(labels)
     n = povm.dim
@@ -312,7 +317,7 @@ def naimark_process(povm: POVM, meter_name: str = "M",
     if opnorm(dagger(isometry) @ isometry - np.eye(n)) > t.assert_tol:
         raise NotAPOVMError("effect square roots do not assemble into an isometry")
 
-    left, _, _ = np.linalg.svd(isometry, full_matrices=True)
+    left, _, _ = _svd(isometry, full_matrices=True)
     completion = left[:, n:]
     unitary = np.zeros((n * m, n * m), dtype=complex)
     next_extra = 0
@@ -370,9 +375,7 @@ class SimultaneousMeasurementReport:
 
 
 def simultaneous_measurability(first: Observable, second: Observable,
-                               state: DensityState,
-                               tol: ToleranceConfig | None = None
-                               ) -> SimultaneousMeasurementReport:
+                               state: DensityState) -> SimultaneousMeasurementReport:
     """Construct a joint measurement witness when the pair is determinate.
 
     Compressing both observables by their commutator projection makes them
@@ -381,9 +384,9 @@ def simultaneous_measurability(first: Observable, second: Observable,
     is one-directional: nothing is concluded when the pair is not
     determinate.
     """
-    t = tol or state.tol
-    g = com_observables([first, second], t)
-    if projector_probability(g, state, t) < 1.0 - t.assert_tol:
+    t = state.tol
+    g = com_observables([first, second])
+    if projector_probability(g, state) < 1.0 - t.assert_tol:
         return SimultaneousMeasurementReport(
             determinate=False, witness=None, first_codes={}, second_codes={},
             first_measures=False, second_measures=False,
@@ -412,20 +415,20 @@ def simultaneous_measurability(first: Observable, second: Observable,
                             @ compressed_second.eigenprojector_at(b).matrix)
             first_codes[code] = float(a)
             second_codes[code] = float(b)
-    witness = naimark_process(POVM(outcomes, elements, t), meter_name="pair", tol=t)
+    witness = naimark_process(POVM(outcomes, elements, t), meter_name="pair")
 
     first_process = apply_outcome_function(witness, first_codes, name=f"{first.name}-pointer")
     second_process = apply_outcome_function(witness, second_codes, name=f"{second.name}-pointer")
-    first_measures = measurement_battery(first_process, first, state, t).holds
-    second_measures = measurement_battery(second_process, second, state, t).holds
+    first_measures = measurement_battery(first_process, first, state).holds
+    second_measures = measurement_battery(second_process, second, state).holds
 
-    joint_cyclic = cyclic_projector([first, second], state, t)
+    joint_cyclic = cyclic_projector([first, second], state)
     joint_ok = _marginals_match(compressed_first, first, joint_cyclic, t) and \
         _marginals_match(compressed_second, second, joint_cyclic, t)
     individual_ok = _marginals_match(compressed_first, first,
-                                     cyclic_projector([first], state, t), t) and \
+                                     cyclic_projector([first], state), t) and \
         _marginals_match(compressed_second, second,
-                         cyclic_projector([second], state, t), t)
+                         cyclic_projector([second], state), t)
     return SimultaneousMeasurementReport(
         determinate=True, witness=witness,
         first_codes=first_codes, second_codes=second_codes,

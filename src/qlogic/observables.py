@@ -242,8 +242,8 @@ class Observable:
         matrix = sum(fv * p.matrix for fv, p in zip(values, self.eigenprojectors))
         return spectral_decompose(name or f"f({self.name})", matrix, self.tol)
 
-    def commutes_with(self, other: "Observable", tol: ToleranceConfig | None = None) -> bool:
-        return matrices_commute(self.matrix, other.matrix, tol or self.tol)
+    def commutes_with(self, other: "Observable") -> bool:
+        return matrices_commute(self.matrix, other.matrix, self.tol)
 
 
 def _lookup(mapping: Mapping[float, float], value: float, atol: float) -> float:
@@ -292,13 +292,13 @@ def embed_second(m: Observable, dim_first: int) -> Observable:
     return Observable(m.name, kron(eye, m.matrix), m.spectrum, projectors, m.tol)
 
 
-def heisenberg(x: Observable, unitary, tol: ToleranceConfig | None = None) -> Observable:
+def heisenberg(x: Observable, unitary) -> Observable:
     """Conjugate into the Heisenberg picture: U^dag X U with the same spectrum."""
-    t = tol or x.tol
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (x.dim, x.dim):
         raise DimensionMismatchError(f"unitary shape {u.shape} does not match dim {x.dim}")
-    if opnorm(dagger(u) @ u - np.eye(x.dim)) > t.assert_tol:
+    if opnorm(dagger(u) @ u - np.eye(x.dim)) > x.tol.assert_tol:
         raise NotUnitaryError("conjugation matrix is not unitary within tolerance")
-    projectors = [Projector(dagger(u) @ p.basis, dim=x.dim, tol=t) for p in x.eigenprojectors]
-    return Observable(x.name, dagger(u) @ x.matrix @ u, x.spectrum, projectors, t)
+    projectors = [Projector(dagger(u) @ p.basis, dim=x.dim, tol=x.tol)
+                  for p in x.eigenprojectors]
+    return Observable(x.name, dagger(u) @ x.matrix @ u, x.spectrum, projectors, x.tol)

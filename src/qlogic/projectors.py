@@ -4,7 +4,9 @@ Projectors are the truth values of everything downstream.  Meets go through
 one kernel computation (the kernel of a sum of positive operators is the
 intersection of the kernels), joins are the De Morgan dual, and every
 projector is rebuilt as B B^dag from an orthonormal range basis so
-idempotence never drifts.
+idempotence never drifts.  A projector carries the tolerance it was built at,
+and every operation judges at the tolerance of its first operand, which its
+result carries too.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .linalg import (
     dagger,
+    eigh,
     kernel_basis,
     opnorm,
     range_basis,
@@ -67,7 +70,7 @@ class Projector:
             raise ValueError("projector matrix is not Hermitian within tolerance")
         if opnorm(m @ m - m) > tol.assert_tol:
             raise ValueError("projector matrix is not idempotent within tolerance")
-        eigenvalues, eigenvectors = np.linalg.eigh((m + dagger(m)) / 2.0)
+        eigenvalues, eigenvectors = eigh((m + dagger(m)) / 2.0)
         return cls(eigenvectors[:, eigenvalues > 0.5], dim=m.shape[0], tol=tol)
 
     @classmethod
@@ -82,15 +85,14 @@ class Projector:
     def rank(self) -> int:
         return self.basis.shape[1]
 
-    def isclose(self, other: "Projector", tol: ToleranceConfig | None = None) -> bool:
-        t = tol or self.tol
+    def isclose(self, other: "Projector") -> bool:
         _require_same_dim(self, other)
-        return opnorm(self.matrix - other.matrix) <= t.assert_tol
+        return opnorm(self.matrix - other.matrix) <= self.tol.assert_tol
 
     def __repr__(self) -> str:
         return f"Projector(dim={self.dim}, rank={self.rank})"
 
-    # Operator sugar for formula-shaped code; defaults to the stored tolerance.
+    # Operator sugar for formula-shaped code.
     def __and__(self, other: "Projector") -> "Projector":
         return meet(self, other)
 
@@ -109,10 +111,6 @@ def _require_same_dim(*projectors: Projector) -> int:
     if len(dims) > 1:
         raise DimensionMismatchError(f"projectors on different spaces: dims {sorted(dims)}")
     return projectors[0].dim
-
-
-def _resolve(tol: ToleranceConfig | None, p: Projector) -> ToleranceConfig:
-    return tol if tol is not None else p.tol
 
 
 def common_null_space_projector(matrices: Sequence[np.ndarray],
@@ -139,26 +137,26 @@ def common_null_space_projector(matrices: Sequence[np.ndarray],
     return Projector(solution_basis(np.vstack(mats), n, tol), dim=n, tol=tol)
 
 
-def meet(p: Projector, q: Projector, tol: ToleranceConfig | None = None) -> Projector:
+def meet(p: Projector, q: Projector) -> Projector:
     """Lattice meet: ``meet_all`` of the pair, the intersection of the ranges."""
-    return meet_all([p, q], tol=_resolve(tol, p))
+    return meet_all([p, q])
 
 
-def meet_all(projectors: Sequence[Projector], dim: int | None = None,
-             tol: ToleranceConfig = DEFAULT_TOL) -> Projector:
-    """Meet of a finite family in one kernel computation; empty family gives 1."""
+def meet_all(projectors: Sequence[Projector], dim: int | None = None) -> Projector:
+    """Meet of a finite family in one kernel computation; empty family gives
+    the ``DEFAULT_TOL`` identity."""
     projectors = list(projectors)
     if not projectors:
         if dim is None:
             raise DimensionMismatchError("meet of an empty family needs an explicit dimension")
-        return Projector.identity(dim, tol)
+        return Projector.identity(dim)
     d = _require_same_dim(*projectors)
     eye = np.eye(d, dtype=complex)
-    return common_null_space_projector([eye - p.matrix for p in projectors], d, tol)
+    return common_null_space_projector([eye - p.matrix for p in projectors], d,
+                                       projectors[0].tol)
 
 
-def meet_each(families: Sequence[Sequence[Projector]], dim: int,
-              tol: ToleranceConfig = DEFAULT_TOL) -> list[Projector]:
+def meet_each(families: Sequence[Sequence[Projector]], dim: int) -> list[Projector]:
     """``meet_all`` of each family in a list of families of one size.
 
     The families' kernel systems are stacked and factored in one batched
@@ -175,71 +173,66 @@ def meet_each(families: Sequence[Sequence[Projector]], dim: int,
     rows = sizes.pop() * dim if sizes else 0
     systems = np.array([[eye - p.matrix for p in family] for family in families],
                        dtype=complex).reshape(len(families), rows, dim)
+    tol = families[0][0].tol if rows else DEFAULT_TOL
     return [Projector(basis, dim=dim, tol=tol)
             for basis in solution_bases(systems, dim, tol)]
 
 
-def ortho(p: Projector, tol: ToleranceConfig | None = None) -> Projector:
+def ortho(p: Projector) -> Projector:
     """Orthocomplement, rebuilt from the complement basis and cached both ways.
 
     The cache makes ortho(ortho(P)) return the original object, so the double
     complement is exact rather than merely close.
     """
     if p._complement is None:
-        t = _resolve(tol, p)
-        q = Projector(kernel_basis(p.matrix, t), dim=p.dim, tol=t)
+        q = Projector(kernel_basis(p.matrix, p.tol), dim=p.dim, tol=p.tol)
         q._complement = p
         p._complement = q
     return p._complement
 
 
-def join(p: Projector, q: Projector, tol: ToleranceConfig | None = None) -> Projector:
+def join(p: Projector, q: Projector) -> Projector:
     """Lattice join via De Morgan: ortho(meet(ortho(P), ortho(Q)))."""
-    t = _resolve(tol, p)
-    return ortho(meet(ortho(p, t), ortho(q, t), t), t)
+    return ortho(meet(ortho(p), ortho(q)))
 
 
-def join_all(projectors: Sequence[Projector], dim: int | None = None,
-             tol: ToleranceConfig = DEFAULT_TOL) -> Projector:
-    """Join of a finite family as the span of the concatenated range bases."""
+def join_all(projectors: Sequence[Projector], dim: int | None = None) -> Projector:
+    """Join of a finite family as the span of the concatenated range bases;
+    empty family gives the ``DEFAULT_TOL`` zero."""
     projectors = list(projectors)
     if not projectors:
         if dim is None:
             raise DimensionMismatchError("join of an empty family needs an explicit dimension")
-        return Projector.zero(dim, tol)
+        return Projector.zero(dim)
     d = _require_same_dim(*projectors)
     stacked = np.hstack([p.basis for p in projectors])
-    return Projector.from_basis(stacked, dim=d, tol=tol)
+    return Projector.from_basis(stacked, dim=d, tol=projectors[0].tol)
 
 
-def leq(p: Projector, q: Projector, tol: ToleranceConfig | None = None) -> bool:
+def leq(p: Projector, q: Projector) -> bool:
     """Range inclusion: holds iff Q P = P within tolerance."""
-    t = _resolve(tol, p)
     _require_same_dim(p, q)
-    return opnorm(q.matrix @ p.matrix - p.matrix) <= t.assert_tol
+    return opnorm(q.matrix @ p.matrix - p.matrix) <= p.tol.assert_tol
 
 
-def commutes(p: Projector, q: Projector, tol: ToleranceConfig | None = None) -> bool:
+def commutes(p: Projector, q: Projector) -> bool:
     """Compatibility: ||[P, Q]|| within tolerance.
 
     Equivalent to the lattice form P = (P ^ Q) v (P ^ Q'), which the test
     suite cross-checks; the norm form is the production route.
     """
-    t = _resolve(tol, p)
     _require_same_dim(p, q)
-    return opnorm(p.matrix @ q.matrix - q.matrix @ p.matrix) <= t.assert_tol
+    return opnorm(p.matrix @ q.matrix - q.matrix @ p.matrix) <= p.tol.assert_tol
 
 
-def sasaki_implies(p: Projector, q: Projector, tol: ToleranceConfig | None = None) -> Projector:
+def sasaki_implies(p: Projector, q: Projector) -> Projector:
     """Sasaki arrow P -> Q = P' v (P ^ Q)."""
-    t = _resolve(tol, p)
-    return join(ortho(p, t), meet(p, q, t), t)
+    return join(ortho(p), meet(p, q))
 
 
-def logical_equiv(p: Projector, q: Projector, tol: ToleranceConfig | None = None) -> Projector:
+def logical_equiv(p: Projector, q: Projector) -> Projector:
     """Biconditional (P -> Q) ^ (Q -> P) with the Sasaki arrow."""
-    t = _resolve(tol, p)
-    return meet(sasaki_implies(p, q, t), sasaki_implies(q, p, t), t)
+    return meet(sasaki_implies(p, q), sasaki_implies(q, p))
 
 
 def meet_weak_limit(p: Projector, q: Projector, iterations: int = 200) -> np.ndarray:

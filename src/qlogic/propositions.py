@@ -39,7 +39,6 @@ from .errors import (
 from .observables import BorelSet, Observable
 from .projectors import Projector, join, leq, meet, ortho
 from .states import DensityState, equality_projector, simultaneously_determinate
-from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 Span = tuple[int, int]
 
@@ -340,51 +339,49 @@ def mentioned_observables(node) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def truth_value(node, registry: ObservableRegistry,
-                tol: ToleranceConfig = DEFAULT_TOL) -> Projector:
+def truth_value(node, registry: ObservableRegistry) -> Projector:
     """Projection-valued truth of a proposition.
 
     Atoms go through the spectral calculus (literal comparisons snap onto the
     spectrum), negation is the orthocomplement, conjunction the meet, and
     disjunction is evaluated exactly as its defining expansion, i.e. the De
-    Morgan join.
+    Morgan join.  Every step judges at the tolerance its operands carry, which
+    the atoms take from the registry's observables.
     """
     if isinstance(node, Leq):
         return registry.get(node.observable).threshold(node.bound)
     if isinstance(node, EqConst):
         return registry.get(node.observable).spectral_projector(BorelSet.point(node.value))
     if isinstance(node, EqObs):
-        return equality_projector(registry.get(node.left), registry.get(node.right), tol)
+        return equality_projector(registry.get(node.left), registry.get(node.right))
     if isinstance(node, ComO):
-        return com_observables([registry.get(name) for name in node.observables], tol)
+        return com_observables([registry.get(name) for name in node.observables])
     if isinstance(node, Not):
-        return ortho(truth_value(node.child, registry, tol), tol)
+        return ortho(truth_value(node.child, registry))
     if isinstance(node, And):
-        return meet(truth_value(node.left, registry, tol),
-                    truth_value(node.right, registry, tol), tol)
+        return meet(truth_value(node.left, registry),
+                    truth_value(node.right, registry))
     if isinstance(node, Or):
-        return join(truth_value(node.left, registry, tol),
-                    truth_value(node.right, registry, tol), tol)
+        return join(truth_value(node.left, registry),
+                    truth_value(node.right, registry))
     raise TypeError(f"not a proposition node: {node!r}")
 
 
-def is_standard(node, registry: ObservableRegistry,
-                tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def is_standard(node, registry: ObservableRegistry) -> bool:
     """A proposition is standard when every mentioned pair commutes."""
     names = mentioned_observables(node)
     for a, b in itertools.combinations(names, 2):
-        if not registry.get(a).commutes_with(registry.get(b), tol):
+        if not registry.get(a).commutes_with(registry.get(b)):
             return False
     return True
 
 
-def is_contextually_wellformed(node, registry: ObservableRegistry, state: DensityState,
-                               tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def is_contextually_wellformed(node, registry: ObservableRegistry, state: DensityState) -> bool:
     """Well-formed relative to a state: the mentioned family is determinate there."""
     names = mentioned_observables(node)
     if not names:
         return True
-    return simultaneously_determinate([registry.get(n) for n in names], state, tol)
+    return simultaneously_determinate([registry.get(n) for n in names], state)
 
 
 # ---------------------------------------------------------------------------
@@ -465,27 +462,24 @@ class TautologyTransferReport:
 
 
 def tautology_transfer_check(skeleton, assignment: Mapping[str, object],
-                             registry: ObservableRegistry,
-                             tol: ToleranceConfig = DEFAULT_TOL) -> TautologyTransferReport:
+                             registry: ObservableRegistry) -> TautologyTransferReport:
     """Verify com(X1..Xn) <= [[phi]] for an instantiated classical tautology.
 
     The skeleton is first certified by the exhaustive truth table; the
     instantiated truth value is then compared against the commutator of every
-    observable the instantiation mentions.
+    observable the instantiation mentions.  Every skeleton has a variable and
+    every atom names an observable, so that family is never empty.
     """
     if not is_classical_tautology(skeleton):
         raise NotATautologyError("skeleton is classically falsifiable")
     proposition = instantiate(skeleton, assignment)
     names = mentioned_observables(proposition)
-    truth = truth_value(proposition, registry, tol)
-    if names:
-        com = com_observables([registry.get(n) for n in names], tol)
-    else:
-        com = Projector.identity(registry.dim, tol)
+    truth = truth_value(proposition, registry)
+    com = com_observables([registry.get(n) for n in names])
     return TautologyTransferReport(
         variables=skeleton_variables(skeleton),
         mentioned=names,
         com=com,
         truth=truth,
-        dominated=leq(com, truth, tol),
+        dominated=leq(com, truth),
     )

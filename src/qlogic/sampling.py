@@ -13,7 +13,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import QLogicError
-from .linalg import commutator, opnorm
+from .linalg import commutator, eigh, opnorm
 from .measurement import POVM, MeasuringProcess, naimark_process
 from .observables import Observable, spectral_decompose
 from .projectors import Projector
@@ -151,16 +151,16 @@ def random_vector_state(dim: int, rng: np.random.Generator,
     return DensityState.from_vector(v / np.linalg.norm(v), tol)
 
 
-def state_supported_in(projector: Projector, rng: np.random.Generator,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> DensityState:
-    """A random state whose support sits inside the given projector's range."""
+def state_supported_in(projector: Projector, rng: np.random.Generator) -> DensityState:
+    """A random state whose support sits inside the given projector's range, at
+    the projector's tolerance."""
     r = projector.rank
     if r == 0:
         raise ValueError("cannot support a state in the zero projector")
     g = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
     small = g @ g.conj().T
     rho = projector.basis @ (small / np.trace(small)) @ projector.basis.conj().T
-    return DensityState.from_matrix(rho, tol)
+    return DensityState.from_matrix(rho, projector.tol)
 
 
 def random_determinate_family(dim: int, count: int, rng: np.random.Generator,
@@ -182,7 +182,7 @@ def random_determinate_family(dim: int, count: int, rng: np.random.Generator,
     else:
         raise QLogicError("could not sample a non-commuting block family")
     sector = Projector(np.eye(dim, dtype=complex)[:, :d1], dim=dim, tol=tol)
-    return family, state_supported_in(sector, rng, tol)
+    return family, state_supported_in(sector, rng)
 
 
 def random_agreeing_pair(dim: int, rng: np.random.Generator,
@@ -206,7 +206,7 @@ def random_agreeing_pair(dim: int, rng: np.random.Generator,
         matrix[d1:, d1:] = (tail_basis * tail_values) @ tail_basis.conj().T
         pair.append(spectral_decompose(name, matrix, tol))
     sector = Projector(np.eye(dim, dtype=complex)[:, :d1], dim=dim, tol=tol)
-    return pair[0], pair[1], state_supported_in(sector, rng, tol)
+    return pair[0], pair[1], state_supported_in(sector, rng)
 
 
 def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator,
@@ -217,7 +217,7 @@ def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator,
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         raws.append(g @ g.conj().T + 0.05 * np.eye(dim))
     total = sum(raws)
-    values, vectors = np.linalg.eigh(total)
+    values, vectors = eigh(total)
     inv_sqrt = (vectors / np.sqrt(values)) @ vectors.conj().T
     elements = [inv_sqrt @ s @ inv_sqrt for s in raws]
     return POVM([float(k) for k in range(n_outcomes)], elements, tol)
@@ -233,11 +233,11 @@ def random_measuring_process(dim_h: int, dim_k: int, rng: np.random.Generator,
     return MeasuringProcess(dim_h, probe, unitary, meter, tol=tol)
 
 
-def measuring_process_for(observable: Observable,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> MeasuringProcess:
+def measuring_process_for(observable: Observable) -> MeasuringProcess:
     """A process that measures the observable sharply: dilated spectral POVM."""
-    povm = POVM(observable.spectrum, [p.matrix for p in observable.eigenprojectors], tol)
-    return naimark_process(povm, meter_name=f"{observable.name}-meter", tol=tol)
+    povm = POVM(observable.spectrum, [p.matrix for p in observable.eigenprojectors],
+                observable.tol)
+    return naimark_process(povm, meter_name=f"{observable.name}-meter")
 
 
 def cnot_process(tol: ToleranceConfig = DEFAULT_TOL) -> MeasuringProcess:

@@ -6,7 +6,9 @@ every implemented characterization of it independently.  Each returns a
 ``ClauseReport``, the one report type of every clause battery in the
 package (the measurement batteries use it too).  The clauses must agree;
 disagreement beyond tolerance is a kernel bug, not a property of the input,
-and ``ClauseReport.checked`` raises InconsistentBattery for it.
+and ``ClauseReport.checked`` raises InconsistentBattery for it.  A function
+of a state judges at the state's tolerance; one of observables alone judges at
+the tolerance of its first observable.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .linalg import (
     dagger,
     hermitian_eig,
     kron,
+    matrices_commute,
     max_pair_commutator_norm,
     opnorm,
     opnorms,
@@ -152,44 +155,37 @@ class JointDistribution:
         return sorted(self.atoms.items())
 
 
-def probability(proposition, state: DensityState, registry,
-                tol: ToleranceConfig | None = None) -> float:
+def probability(proposition, state: DensityState, registry) -> float:
     """Born probability of a proposition: Tr of its truth projector against the state."""
     from .propositions import truth_value  # deferred: propositions builds on this module
 
-    t = tol or state.tol
-    projector = truth_value(proposition, registry, t)
-    return projector_probability(projector, state, t)
+    projector = truth_value(proposition, registry)
+    return projector_probability(projector, state)
 
 
-def projector_probability(projector: Projector, state: DensityState,
-                          tol: ToleranceConfig | None = None) -> float:
-    t = tol or state.tol
+def projector_probability(projector: Projector, state: DensityState) -> float:
     if projector.dim != state.dim:
         raise DimensionMismatchError("proposition and state live on different spaces")
     value = complex(np.trace(projector.matrix @ state.matrix))
-    if abs(value.imag) > t.assert_tol:
+    if abs(value.imag) > state.tol.assert_tol:
         raise QLogicError(f"probability has imaginary part {value.imag:.3e}")
     return float(min(1.0, max(0.0, value.real)))
 
 
-def holds(proposition, state: DensityState, registry,
-          tol: ToleranceConfig | None = None) -> bool:
+def holds(proposition, state: DensityState, registry) -> bool:
     """A proposition holds in a state when its probability is one."""
-    t = tol or state.tol
-    return probability(proposition, state, registry, t) >= 1.0 - t.assert_tol
+    return probability(proposition, state, registry) >= 1.0 - state.tol.assert_tol
 
 
 def born_joint(observables: Sequence[Observable], thresholds: Sequence[float],
-               state: DensityState, tol: ToleranceConfig | None = None) -> float:
+               state: DensityState) -> float:
     """Joint distribution function of commuting observables at the given cuts."""
-    t = tol or state.tol
     xs = list(observables)
     if len(xs) != len(thresholds):
         raise DimensionMismatchError("one threshold per observable required")
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
-            if not xs[i].commutes_with(xs[j], t):
+            if not matrices_commute(xs[i].matrix, xs[j].matrix, state.tol):
                 raise NotCommutingError(
                     f"{xs[i].name} and {xs[j].name} do not commute; no joint distribution function")
     product = np.eye(state.dim, dtype=complex)
@@ -199,8 +195,7 @@ def born_joint(observables: Sequence[Observable], thresholds: Sequence[float],
     return float(min(1.0, max(0.0, value.real)))
 
 
-def cyclic_projector(observables: Sequence[Observable], state: DensityState,
-                     tol: ToleranceConfig | None = None) -> Projector:
+def cyclic_projector(observables: Sequence[Observable], state: DensityState) -> Projector:
     """Projector onto the orbit of the state's support under the generated algebra.
 
     This is the smallest projection commuting with the family that leaves the
@@ -209,7 +204,7 @@ def cyclic_projector(observables: Sequence[Observable], state: DensityState,
     spanned by the vectors E_i psi and no algebra is built; larger families
     span the generated algebra's basis applied to the support.
     """
-    t = tol or state.tol
+    t = state.tol
     xs = list(observables)
     dim = state.dim
     if len(xs) == 1:
@@ -230,12 +225,10 @@ def cyclic_projector(observables: Sequence[Observable], state: DensityState,
     return projector
 
 
-def simultaneously_determinate(observables: Sequence[Observable], state: DensityState,
-                               tol: ToleranceConfig | None = None) -> bool:
+def simultaneously_determinate(observables: Sequence[Observable], state: DensityState) -> bool:
     """The family has definite values together in the state: Tr[com rho] = 1."""
-    t = tol or state.tol
-    com = com_observables(list(observables), t)
-    return projector_probability(com, state, t) >= 1.0 - t.assert_tol
+    com = com_observables(list(observables))
+    return projector_probability(com, state) >= 1.0 - state.tol.assert_tol
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +273,8 @@ class ClauseReport:
         return report
 
 
-def determinateness_battery(observables: Sequence[Observable], state: DensityState,
-                            tol: ToleranceConfig | None = None) -> ClauseReport:
+def determinateness_battery(observables: Sequence[Observable],
+                            state: DensityState) -> ClauseReport:
     """Evaluate all determinateness characterizations and enforce agreement.
 
     Clauses: the commutator carries full probability; it fixes the state; the
@@ -290,16 +283,16 @@ def determinateness_battery(observables: Sequence[Observable], state: DensitySta
     spectral-atom product masses form an additive probability measure.  When
     all pass, the joint distribution is constructed and attached.
     """
-    t = tol or state.tol
+    t = state.tol
     xs = list(observables)
-    com = com_observables(xs, t)
-    cyclic = cyclic_projector(xs, state, t)
+    com = com_observables(xs)
+    cyclic = cyclic_projector(xs, state)
     alg = algebra_from_generators([x.matrix for x in xs], state.dim, t)
 
     clauses: dict[str, bool] = {}
     residuals: dict[str, float] = {}
 
-    deficit = 1.0 - projector_probability(com, state, t)
+    deficit = 1.0 - projector_probability(com, state)
     clauses["full_probability"] = deficit <= t.assert_tol
     residuals["full_probability"] = deficit
 
@@ -350,7 +343,7 @@ def _grid_measure(xs: list[Observable], state: DensityState,
         families = [[atom_projectors[j][k] for j, k in zip(axes, combo)]
                     for combo in itertools.product(*(range(shape[j]) for j in axes))]
         return np.array([float(np.real(np.trace(p.matrix @ state.matrix)))
-                         for p in meet_each(families, state.dim, t)])
+                         for p in meet_each(families, state.dim)])
 
     grid = grid_masses(list(range(len(xs))))
     masses = {tuple(x.spectrum[k] for x, k in zip(xs, combo)): float(value)
@@ -384,8 +377,7 @@ def merged_values(first: Iterable[float], second: Iterable[float],
     return merged
 
 
-def equality_projector(x: Observable, y: Observable,
-                       tol: ToleranceConfig | None = None) -> Projector:
+def equality_projector(x: Observable, y: Observable) -> Projector:
     """Truth projector of "X = Y": largest subspace where the spectral families agree.
 
     Production route: joint kernel of E_X(lambda) - E_Y(lambda) over the
@@ -397,7 +389,7 @@ def equality_projector(x: Observable, y: Observable,
     threshold system, whose singular vectors LAPACK does not return
     bit-identically.
     """
-    t = tol or x.tol
+    t = x.tol
     if x.dim != y.dim:
         raise DimensionMismatchError(f"{x.name} and {y.name} live on different spaces")
     if (y.matrix.tobytes(), y.spectrum) < (x.matrix.tobytes(), x.spectrum):
@@ -417,16 +409,13 @@ def equality_projector(x: Observable, y: Observable,
     return by_thresholds
 
 
-def equal_in_state(x: Observable, y: Observable, state: DensityState,
-                   tol: ToleranceConfig | None = None) -> bool:
+def equal_in_state(x: Observable, y: Observable, state: DensityState) -> bool:
     """X and Y are equal in the state: the equality projector has probability one."""
-    t = tol or state.tol
-    q = equality_projector(x, y, t)
-    return projector_probability(q, state, t) >= 1.0 - t.assert_tol
+    q = equality_projector(x, y)
+    return projector_probability(q, state) >= 1.0 - state.tol.assert_tol
 
 
-def equality_battery(x: Observable, y: Observable, state: DensityState,
-                     tol: ToleranceConfig | None = None) -> ClauseReport:
+def equality_battery(x: Observable, y: Observable, state: DensityState) -> ClauseReport:
     """Evaluate all equality-in-a-state characterizations and enforce agreement.
 
     Clauses: probability one of the equality projector; vanishing cross
@@ -435,12 +424,12 @@ def equality_battery(x: Observable, y: Observable, state: DensityState,
     state; the two cyclic subspaces coincide with matching compressions; and
     the joint distribution concentrates on the diagonal.
     """
-    t = tol or state.tol
+    t = state.tol
     if x.dim != y.dim or x.dim != state.dim:
         raise DimensionMismatchError("observables and state live on different spaces")
-    q = equality_projector(x, y, t)
-    cyclic_x = cyclic_projector([x], state, t)
-    cyclic_y = cyclic_projector([y], state, t)
+    q = equality_projector(x, y)
+    cyclic_x = cyclic_projector([x], state)
+    cyclic_y = cyclic_projector([y], state)
     width = max(x.snap_width, y.snap_width)
     merged = merged_values(x.spectrum, y.spectrum, width)
     op_scale = max(1.0, opnorm(x.matrix) + opnorm(y.matrix))
@@ -448,7 +437,7 @@ def equality_battery(x: Observable, y: Observable, state: DensityState,
     clauses: dict[str, bool] = {}
     residuals: dict[str, float] = {}
 
-    deficit = 1.0 - projector_probability(q, state, t)
+    deficit = 1.0 - projector_probability(q, state)
     clauses["full_probability"] = deficit <= t.assert_tol
     residuals["full_probability"] = deficit
 
@@ -484,10 +473,10 @@ def equality_battery(x: Observable, y: Observable, state: DensityState,
     residuals["cyclic_subspaces_match"] = max(cyclic_gap, compression_gap)
 
     diagonal_mass = 0.0
-    determinate = simultaneously_determinate([x, y], state, t)
+    determinate = simultaneously_determinate([x, y], state)
     if determinate:
         for v in merged:
-            p = meet(x.eigenprojector_at(v), y.eigenprojector_at(v), t)
+            p = meet(x.eigenprojector_at(v), y.eigenprojector_at(v))
             diagonal_mass += float(np.real(np.trace(p.matrix @ state.matrix)))
     clauses["diagonal_concentration"] = determinate and diagonal_mass >= 1.0 - t.assert_tol
     residuals["diagonal_concentration"] = 1.0 - diagonal_mass
@@ -508,28 +497,26 @@ class EquivalenceReport:
         return self.reflexive_residual <= 1e-10 and self.symmetric_exact and self.transitive
 
 
-def equivalence_relation_check(x: Observable, y: Observable, z: Observable,
-                               tol: ToleranceConfig | None = None) -> EquivalenceReport:
+def equivalence_relation_check(x: Observable, y: Observable,
+                               z: Observable) -> EquivalenceReport:
     """Check that quantum equality behaves as an equivalence relation.
 
     Reflexivity must be numerically exact (identity to 1e-10), symmetry must
     be bitwise (``equality_projector`` orders its operands canonically), and
     transitivity holds as the lattice inequality (X=Y) ^ (Y=Z) <= (X=Z).
     """
-    t = tol or x.tol
-    reflexive = opnorm(equality_projector(x, x, t).matrix - np.eye(x.dim))
-    xy = equality_projector(x, y, t)
-    yx = equality_projector(y, x, t)
+    reflexive = opnorm(equality_projector(x, x).matrix - np.eye(x.dim))
+    xy = equality_projector(x, y)
+    yx = equality_projector(y, x)
     symmetric = bool(np.array_equal(xy.matrix, yx.matrix))
-    yz = equality_projector(y, z, t)
-    xz = equality_projector(x, z, t)
-    transitive = leq(meet(xy, yz, t), xz, t)
+    yz = equality_projector(y, z)
+    xz = equality_projector(x, z)
+    transitive = leq(meet(xy, yz), xz)
     return EquivalenceReport(reflexive, symmetric, transitive)
 
 
 def common_eigenvector_projector(observables: Sequence[Observable],
-                                 mode: str = "determinate",
-                                 tol: ToleranceConfig | None = None) -> Projector:
+                                 mode: str = "determinate") -> Projector:
     """Span of the relevant common eigenvectors, cross-checked structurally.
 
     ``determinate`` mode spans every joint eigenspace of the family and must
@@ -538,19 +525,19 @@ def common_eigenvector_projector(observables: Sequence[Observable],
     equality projector.
     """
     xs = list(observables)
-    t = tol or xs[0].tol
+    t = xs[0].tol
     dim = xs[0].dim
     if mode == "determinate":
         grids = [range(len(x.spectrum)) for x in xs]
         bases = []
         for combo in itertools.product(*grids):
             parts = [x.eigenprojector_at(x.spectrum[k]) for x, k in zip(xs, combo)]
-            p = meet_all(parts, dim=dim, tol=t)
+            p = meet_all(parts, dim=dim)
             if p.rank:
                 bases.append(p.basis)
         span = Projector.from_basis(np.hstack(bases) if bases else np.zeros((dim, 0)),
                                     dim=dim, tol=t)
-        target = com_observables(xs, t)
+        target = com_observables(xs)
         label = "commutator projection"
     elif mode == "equal":
         if len(xs) != 2:
@@ -562,12 +549,12 @@ def common_eigenvector_projector(observables: Sequence[Observable],
             for b in y.spectrum:
                 if abs(a - b) > width:
                     continue
-                p = meet(x.eigenprojector_at(a), y.eigenprojector_at(b), t)
+                p = meet(x.eigenprojector_at(a), y.eigenprojector_at(b))
                 if p.rank:
                     bases.append(p.basis)
         span = Projector.from_basis(np.hstack(bases) if bases else np.zeros((dim, 0)),
                                     dim=dim, tol=t)
-        target = equality_projector(x, y, t)
+        target = equality_projector(x, y)
         label = "equality projector"
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -3,6 +3,17 @@
 The ladder is deliberate: rank decisions are the tightest, eigenvalue
 clustering sits in the middle, and invariant assertions are the loosest,
 so a quantity that survives a rank cut can never flip an assertion.
+
+That promise needs one config to judge an object from construction to
+verdict.  So a config is passed only where objects are built from raw data
+(the ``Projector``, ``Observable``, ``DensityState``, ``POVM`` and
+``MeasuringProcess`` constructors, ``spectral_decompose``, the samplers and
+the scenario loader), to the raw-matrix kernels (``linalg``, ``commutant``,
+``algebra_from_generators``, ``common_null_space_projector``), and to
+``run_suite``.  Every built object stores its config as ``tol``, and every
+operation on built objects judges at the config its operands carry: a state's
+for the state predicates, a process's for the measurement predicates, and
+otherwise that of the first projector, observable, family member or algebra.
 """
 
 from __future__ import annotations

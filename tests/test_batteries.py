@@ -81,11 +81,11 @@ def test_a_raised_instance_fails_its_line_and_is_named(monkeypatch):
     original = batteries.equality_projector
     calls = []
 
-    def fails_on_the_fifth_call(x, y, tol=None):
+    def fails_on_the_fifth_call(x, y):
         calls.append(None)
         if len(calls) == 5:
             raise CrossCheckFailure("injected")
-        return original(x, y, tol)
+        return original(x, y)
 
     monkeypatch.setattr(batteries, "equality_projector", fails_on_the_fifth_call)
     routes = run_suite("equality").checks[0]

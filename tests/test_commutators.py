@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SIGMA_X, SIGMA_Z
-from qlogic import commutators
+from qlogic import commutators, projectors
 from qlogic.algebras import algebra_from_generators
 from qlogic.commutators import (
     boolean_factorization_check,
@@ -26,6 +26,7 @@ from qlogic.sampling import (
     random_block_observables,
     random_commuting_observables,
     random_observable,
+    random_projector,
     rng_from_seed,
 )
 from qlogic.tolerances import DEFAULT_TOL
@@ -75,6 +76,55 @@ def test_com_pair_block_structure():
     p, q = block_pair()
     e = com_pair(p, q)
     assert opnorm(e.matrix - SECOND_BLOCK) < 1e-8
+
+
+def test_com_pair_builds_no_meet(monkeypatch):
+    # The pairwise route is the kernel of [P, Q], independent of the lattice
+    # formula com_family evaluates.
+    def no_meet(*args, **kwargs):
+        raise AssertionError("com_pair built a meet")
+
+    monkeypatch.setattr(projectors, "meet", no_meet)
+    monkeypatch.setattr(projectors, "meet_all", no_meet)
+    monkeypatch.setattr(commutators, "meet_all", no_meet)
+    p, q = block_pair()
+    assert opnorm(com_pair(p, q).matrix - SECOND_BLOCK) < 1e-8
+
+
+def _projector_pair(kind, dim, rng):
+    if kind == "commuting":
+        frame = haar_unitary(dim, rng)
+        return tuple(Projector.from_matrix((frame * rng.integers(0, 2, size=dim))
+                                           @ frame.conj().T) for _ in range(2))
+    if kind == "block" and dim >= 3:
+        # A shared frame on the first block, independent ranges on the second,
+        # the whole rotated by a Haar unitary.
+        split = int(rng.integers(1, dim - 1))
+        shared, frame = haar_unitary(split, rng), haar_unitary(dim, rng)
+        pair = []
+        for _ in range(2):
+            block = np.zeros((dim, dim), dtype=complex)
+            block[:split, :split] = (shared * rng.integers(0, 2, size=split)) @ shared.conj().T
+            block[split:, split:] = random_projector(dim - split, rng).matrix
+            pair.append(Projector.from_matrix(frame @ block @ frame.conj().T))
+        return tuple(pair)
+    p = random_projector(dim, rng)
+    if kind == "zero":
+        return p, Projector.zero(dim)
+    if kind == "identity":
+        return Projector.identity(dim), p
+    return p, random_projector(dim, rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=1, max_value=6),
+       kind=st.sampled_from(["random", "block", "commuting", "zero", "identity"]))
+def test_com_pair_agrees_with_the_sign_map_join(seed, dim, kind):
+    p, q = _projector_pair(kind, dim, rng_from_seed(seed))
+    pairwise, family = com_pair(p, q), com_family([p, q])
+    assert pairwise.rank == family.rank
+    assert opnorm(pairwise.matrix - family.matrix) <= DEFAULT_TOL.assert_tol
 
 
 def test_com_routes_agree_on_blocks():

@@ -34,7 +34,10 @@ from qlogic.linalg import (
     solution_bases,
     solution_basis,
 )
-from qlogic.sampling import haar_unitary, random_projector, rng_from_seed
+from qlogic.measurement import POVM, naimark_process
+from qlogic.projectors import Projector
+from qlogic.scenario import load_scenario
+from qlogic.sampling import haar_unitary, random_povm, random_projector, rng_from_seed
 
 
 def test_as_matrix_and_require_square():
@@ -282,15 +285,27 @@ def _no_convergence(*args, **kwargs):
     raise np.linalg.LinAlgError("no convergence")
 
 
-@pytest.mark.parametrize("call", [
-    lambda: solution_basis(np.ones((2, 3)), 3),
-    lambda: solution_bases(np.ones((2, 2, 3)), 3),
-    lambda: kernel_basis(np.eye(3)),
-    lambda: range_basis(np.ones((3, 2))),
-    lambda: opnorms(np.ones((2, 3, 3))),
-], ids=["solution_basis", "solution_bases", "kernel_basis", "range_basis", "opnorms"])
-def test_svd_non_convergence_raises_a_typed_error(monkeypatch, call):
-    monkeypatch.setattr(np.linalg, "svd", _no_convergence)
+_QUBIT_EFFECTS = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+
+
+# Every SVD and Hermitian eigendecomposition in the package goes through the
+# typed wrappers in qlogic.linalg; each case makes the numpy routine it calls
+# fail to converge.
+@pytest.mark.parametrize("routine, call", [
+    ("svd", lambda: solution_basis(np.ones((2, 3)), 3)),
+    ("svd", lambda: solution_bases(np.ones((2, 2, 3)), 3)),
+    ("svd", lambda: kernel_basis(np.eye(3))),
+    ("svd", lambda: range_basis(np.ones((3, 2)))),
+    ("svd", lambda: opnorms(np.ones((2, 3, 3)))),
+    ("eigh", lambda: hermitian_eig(np.diag([1.0, 2.0]))),
+    ("eigh", lambda: POVM([0.0, 1.0], _QUBIT_EFFECTS)),
+    ("eigh", lambda: Projector.from_matrix(np.diag([1.0, 0.0]))),
+    ("eigh", lambda: random_povm(2, 2, rng_from_seed(1))),
+    ("svd", lambda: naimark_process(POVM([0.0, 1.0], _QUBIT_EFFECTS))),
+], ids=["solution_basis", "solution_bases", "kernel_basis", "range_basis", "opnorms",
+        "hermitian_eig", "POVM", "Projector.from_matrix", "random_povm", "naimark_process"])
+def test_svd_non_convergence_raises_a_typed_error(monkeypatch, routine, call):
+    monkeypatch.setattr(np.linalg, routine, _no_convergence)
     with pytest.raises(FactorizationError, match="did not converge"):
         call()
 
@@ -314,4 +329,15 @@ def test_cli_reports_a_failed_factorization_without_traceback(monkeypatch, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("assertion failure: SVD of a ")
+    assert "Traceback" not in captured.err
+
+    # An eigendecomposition that fails after the scenario has loaded.
+    monkeypatch.undo()
+    scenario = load_scenario(scenario_file)
+    monkeypatch.setattr(cli, "load_scenario", lambda path, tol: scenario)
+    monkeypatch.setattr(np.linalg, "eigh", _no_convergence)
+    assert cli.main(["measure", scenario_file, "pointer", "Z", "up"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("assertion failure: eigendecomposition of a ")
     assert "Traceback" not in captured.err

@@ -311,7 +311,7 @@ def _grid_measure_by_meet_all(xs, state, t):
     worst = 0.0
     for combo in itertools.product(*grids):
         parts = [atom_projectors[j][k] for j, k in enumerate(combo)]
-        p = meet_all(parts, dim=dim, tol=t)
+        p = meet_all(parts, dim=dim)
         value = float(np.real(np.trace(p.matrix @ state.matrix)))
         masses[tuple(xs[j].spectrum[k] for j, k in enumerate(combo))] = value
         worst = max(worst, max(0.0, -value))
@@ -326,7 +326,7 @@ def _grid_measure_by_meet_all(xs, state, t):
             for i, x in enumerate(xs):
                 if i != j:
                     parts.append(atom_projectors[i][next(rest_iter)])
-            direct = meet_all(parts, dim=dim, tol=t)
+            direct = meet_all(parts, dim=dim)
             direct_mass = float(np.real(np.trace(direct.matrix @ state.matrix)))
             for k in range(len(xs[j].spectrum)):
                 combo_values = []
