@@ -1,14 +1,14 @@
-"""Finite-dimensional *-algebras of matrices via commutants.
+"""Finite-dimensional *-algebras of matrices via words and commutants.
 
 The commutant is computed as the solution space of the linear system
 [X, G] = 0, [X, G^dag] = 0 over all generators G, vectorized row-major.
-Generated algebras are double commutants A = C(C(G)); centers are span
-intersections; minimal central projections come from eigenspaces of a random
-Hermitian central element, verified and retried if the randomization lands
-degenerate.
+Generated algebras are spans of words in the letters G u G^dag; centers are
+span intersections; minimal central projections come from eigenspaces of a
+random Hermitian central element, verified and retried if the randomization
+lands degenerate.
 
-A build solves two commutant systems and no third: the fixpoint
-C(A) = C(G) is checked without a solve, by three checks at assert_tol.
+A build solves one commutant system, C(G); the fixpoint C(A) = C(G) of the
+word span A is checked without a solve, by three checks at assert_tol.
 (i) Every generator lies in A, which gives C(A) in C(G).  (ii) Every basis
 element commutes with every commutant element, which gives C(G) in C(A).
 (iii) For A = (+) M_n (x) I_m (rotated), the sums sum_k b_k b_k^dag and
@@ -33,22 +33,19 @@ import numpy as np
 
 from .errors import DegenerateRandomizationError, DimensionMismatchError, QLogicError
 from .linalg import (
+    _KERNEL_SCALE,
+    _svd,
     commutator,
     dagger,
     eigh,
     opnorm,
     opnorms,
     require_square,
+    singular_cutoff,
     solution_basis,
 )
 from .projectors import Projector
 from .tolerances import DEFAULT_TOL, ToleranceConfig
-
-# Cap on basis-product pairs checked during closure validation.  Every pair
-# projects one product onto the d^2-wide basis stack, so the full check of
-# A = M_d costs ~2 d^8 multiply-adds (seconds at d = 16); a double commutant
-# is closed by construction, and the capped pairs catch a broken solve.
-_CLOSURE_CHECK_CAP = 2048
 
 # Random central combinations minimal_central_projections draws before it gives
 # up; each one separates the central blocks with probability one.
@@ -162,19 +159,18 @@ def _read_only(matrices) -> tuple[np.ndarray, ...]:
 
 def algebra_from_generators(generators: Sequence[np.ndarray], dim: int,
                             tol: ToleranceConfig = DEFAULT_TOL) -> MatrixAlgebra:
-    """Double commutant of the generators, with construction-time invariants.
+    """The span of words in the generators, with construction-time invariants.
 
-    Checks: the identity is in the span, the span is closed under adjoint and
-    (up to ``_CLOSURE_CHECK_CAP`` pairs) under product, and the commutant is
-    a fixpoint, C(A) = C(G), by three solve-free checks at assert_tol: each
-    generator is in the algebra as ``contains`` judges it, every basis
-    element commutes with every commutant element, and
-    (sum_k b_k b_k^dag)(sum_l c_l c_l^dag) is the identity (see the module
-    docstring).  A failed check raises QLogicError, so a near-degenerate
-    family whose commutant solve admits near-commuting elements is refused
-    rather than returned as an algebra that misses its generators.
-    The family built last, at the same dimension and tolerance, returns the
-    kept algebra.
+    The basis is ``_word_span`` of the generators and the commutant basis the
+    one solve ``commutant(generators)``.  Checks: the span is closed under
+    adjoint, and C(A) = C(G) by the three solve-free checks of the module
+    docstring at assert_tol: each generator is in the algebra as ``contains``
+    judges it, every basis element commutes with every commutant element, and
+    (sum_k b_k b_k^dag)(sum_l c_l c_l^dag) is the identity.  A failed check
+    raises QLogicError, so a near-degenerate family whose commutant solve
+    admits near-commuting elements is refused rather than returned as an
+    algebra that misses its generators.  The family built last, at the same
+    dimension and tolerance, returns the kept algebra.
     """
     global _last
     gens = [require_square(g) for g in generators]
@@ -186,35 +182,37 @@ def algebra_from_generators(generators: Sequence[np.ndarray], dim: int,
 
 def _build_algebra(gens: list[np.ndarray], dim: int, tol: ToleranceConfig) -> MatrixAlgebra:
     comm = commutant(gens, dim, tol)
-    basis = commutant(comm, dim, tol)
-    stack = _stack(basis)
-    if not _span_contains(stack, _stack([dagger(b) for b in basis]), tol):
+    basis = _word_span(gens, dim, tol)
+    if not _span_contains(_stack(basis), _stack([dagger(b) for b in basis]), tol):
         raise QLogicError("algebra span is not adjoint-closed")
-    _check_product_closed(basis, stack, tol)
     _check_fixpoint(gens, basis, comm, tol)
     return MatrixAlgebra(dim=dim, generators=_read_only(gens), basis=_read_only(basis),
                          commutant_basis=_read_only(comm), tol=tol)
 
 
-def _check_product_closed(basis: Sequence[np.ndarray], stack: np.ndarray,
-                          tol: ToleranceConfig) -> None:
-    """Raise unless the products basis[i] @ basis[j] lie in span(stack).
+def _word_span(gens: Sequence[np.ndarray], dim: int, tol: ToleranceConfig) -> list[np.ndarray]:
+    """HS-orthonormal basis of the span of words in the letters G u G^dag.
 
-    Pairs are taken in row-major order up to _CLOSURE_CHECK_CAP of them; each
-    row's products are formed and projected as one batch.
+    Letters are the nonzero generators and their adjoints over their operator
+    norms.  From 1/sqrt(d), each step multiplies the newest directions by
+    every letter, orthogonalizes twice against the basis and keeps directions
+    above the floored kernel cutoff (products have Frobenius norm <= 1).  A
+    step that adds nothing leaves the span closed under products; so does M_d.
     """
-    if not basis:
-        return
-    cube = np.stack(basis)
-    budget = _CLOSURE_CHECK_CAP
-    for b in basis:
-        if budget <= 0:
-            break
-        count = min(len(basis), budget)
-        products = np.matmul(b, cube[:count]).reshape(count, -1).T
-        if not _span_contains(stack, products, tol):
-            raise QLogicError("algebra span is not closed under products")
-        budget -= count
+    cube = np.asarray(gens, dtype=complex).reshape(len(gens), dim, dim)
+    scales = opnorms(cube)
+    cube = cube[scales != 0.0] / scales[scales != 0.0, None, None]
+    letters = np.concatenate([cube, np.conj(cube).swapaxes(-1, -2)])
+    basis = frontier = _vec(np.eye(dim) / np.sqrt(dim))[:, None]
+    while frontier.shape[1] and basis.shape[1] < dim * dim:
+        elements = frontier.T.reshape(-1, dim, dim)
+        products = np.matmul(letters[:, None], elements).reshape(-1, dim * dim).T
+        for _ in range(2):
+            products -= basis @ (dagger(basis) @ products)
+        u, s, _ = _svd(products, full_matrices=False)
+        frontier = u[:, s > singular_cutoff(s, dim * dim, tol, _KERNEL_SCALE)]
+        basis = np.hstack([basis, frontier])
+    return [basis[:, k].reshape(dim, dim) for k in range(basis.shape[1])]
 
 
 def _check_fixpoint(gens: Sequence[np.ndarray], basis: Sequence[np.ndarray],

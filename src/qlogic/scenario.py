@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    FactorizationError,
     PropositionSyntaxError,
     QLogicError,
     ScenarioParseError,
@@ -91,12 +93,22 @@ def _as_matrix(value, path: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+@contextmanager
+def _invalid_at(path: str):
+    """Report a failure at ``path`` as invalid input, but not a failed factorization."""
+    try:
+        yield
+    except (ScenarioValidationError, ScenarioParseError, FactorizationError):
+        raise
+    except (QLogicError, ValueError) as exc:
+        raise ScenarioValidationError(path, str(exc)) from exc
+
+
 def _state_from_spec(spec, path: str, dim: int, tol: ToleranceConfig) -> DensityState:
     _expect(isinstance(spec, dict), path, "expected an object")
-    keys = set(spec)
-    _expect(keys in ({"matrix"}, {"vector"}), path,
+    _expect(set(spec) in ({"matrix"}, {"vector"}), path,
             "expected exactly one of 'matrix' or 'vector'")
-    try:
+    with _invalid_at(path):
         if "vector" in spec:
             vector = _as_vector(spec["vector"], f"{path}.vector")
             if vector.shape[0] != dim:
@@ -108,10 +120,6 @@ def _state_from_spec(spec, path: str, dim: int, tol: ToleranceConfig) -> Density
             raise ScenarioValidationError(
                 path, f"matrix has shape {matrix.shape}, expected ({dim}, {dim})")
         return DensityState.from_matrix(matrix, tol)
-    except (QLogicError, ValueError) as exc:
-        if isinstance(exc, (ScenarioValidationError, ScenarioParseError)):
-            raise
-        raise ScenarioValidationError(path, str(exc)) from exc
 
 
 def load_scenario(path: str, tol: ToleranceConfig = DEFAULT_TOL) -> Scenario:
@@ -153,10 +161,8 @@ def scenario_from_document(document, tol: ToleranceConfig = DEFAULT_TOL) -> Scen
         if matrix.shape != (dim, dim):
             raise ScenarioValidationError(
                 obs_path, f"matrix has shape {matrix.shape}, expected ({dim}, {dim})")
-        try:
+        with _invalid_at(obs_path):
             observables[name] = spectral_decompose(name, matrix, tol)
-        except QLogicError as exc:
-            raise ScenarioValidationError(obs_path, str(exc)) from exc
 
     states: dict[str, DensityState] = {}
     for name, spec in _named_section(document, "states").items():
@@ -204,11 +210,7 @@ def _process_from_spec(spec, path: str, name: str, dim: int,
     if meter_matrix.shape != (dim_k, dim_k):
         raise ScenarioValidationError(
             f"{path}.M", f"matrix has shape {meter_matrix.shape}, expected ({dim_k}, {dim_k})")
-    try:
+    with _invalid_at(f"{path}.M"):
         meter = spectral_decompose(f"{name}.M", meter_matrix, tol)
-    except QLogicError as exc:
-        raise ScenarioValidationError(f"{path}.M", str(exc)) from exc
-    try:
+    with _invalid_at(path):
         return MeasuringProcess(dim, sigma, unitary, meter, tol=tol)
-    except QLogicError as exc:
-        raise ScenarioValidationError(path, str(exc)) from exc

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import pairs, vector_pairs
-from qlogic.errors import ScenarioParseError, ScenarioValidationError
+from qlogic import cli, scenario
+from qlogic.errors import FactorizationError, ScenarioParseError, ScenarioValidationError
 from qlogic.scenario import load_scenario, scenario_from_document
 
 
@@ -126,6 +127,28 @@ def test_scenario_process_errors(qubit_document):
             scenario_from_document(doc)
         assert caught.value.path == path
         assert str(caught.value).startswith(f"{path}: ")
+
+
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("no convergence")
+
+
+@pytest.mark.parametrize("site", ["observable", "state", "sigma", "meter", "process"])
+def test_scenario_factorization_failure_is_not_invalid_input(qubit_document, monkeypatch, site):
+    # One section at a time, so that the named wrap site is the first to
+    # meet the failed factorization.
+    section = {"observable": "observables", "state": "states"}.get(site, "processes")
+    doc = {"dimension": 2, section: qubit_document[section]}
+    if site == "sigma":
+        doc[section]["pointer"]["sigma"] = {"matrix": pairs(np.eye(2) / 2.0)}
+    if site == "process":
+        def failing(*args, **kwargs):
+            raise FactorizationError("SVD of a (4, 4) array did not converge")
+        monkeypatch.setattr(scenario, "MeasuringProcess", failing)
+    else:
+        monkeypatch.setattr(np.linalg, "eigh", _no_convergence)
+    with pytest.raises(FactorizationError, match="did not converge"):
+        scenario_from_document(doc)
 
 
 def test_load_scenario_file_errors(tmp_path):
@@ -269,6 +292,16 @@ def test_cli_overflowing_process_unitary_exits_2(qubit_document, tmp_path):
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: $.processes.pointer: ")
     assert "coupling U has entries that overflow its unitarity check" in result.stderr
+
+
+def test_cli_factorization_failure_while_loading_exits_1(monkeypatch, capsys, scenario_file):
+    # A failed eigendecomposition is a numerical failure, not invalid input.
+    monkeypatch.setattr(np.linalg, "eigh", _no_convergence)
+    assert cli.main(["eval", scenario_file, "zpos"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("assertion failure: eigendecomposition of a ")
+    assert "Traceback" not in captured.err
 
 
 def test_cli_argparse_exits(scenario_file):

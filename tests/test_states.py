@@ -496,35 +496,60 @@ def test_common_eigenvectors_equal_mode_arity():
 # ---------------------------------------------------------------------------
 # the d^4 memory wall
 
-# A d = 16 generic pair, run under a 1 GiB address-space limit the child sets
-# on itself.  A build that solves the 2 d^4-row commutant(basis) system needs
-# ~2.1 GB here and raises MemoryError already at 1.5 GB.  The child prints
-# its CPU seconds (single-threaded BLAS) on a second line: ~0.6 s on a 2-vCPU
-# VM, against 11.6 s with that solve.
-_WALL_CHILD = textwrap.dedent("""
+# Children that run under a 1 GiB address-space limit they set on themselves
+# and print a verdict, then their CPU seconds (single-threaded BLAS).
+_ONE_GIB = textwrap.dedent("""
     import resource
     import time
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
     from qlogic.sampling import random_density, random_observable, rng_from_seed
+    start = time.process_time()
+""")
+
+# A d = 16 generic pair.  A double-commutant build solves a 2 d^4-row system
+# for it, needs ~2.1 GB and raises MemoryError already at 1.5 GB; the words
+# and the one (4 d^2)-row commutant solve fit, in 0.7-1.0 s on a 2-vCPU VM.
+_WALL_CHILD = _ONE_GIB + textwrap.dedent("""
     from qlogic.states import determinateness_battery
     rng = rng_from_seed(16)
     xs = [random_observable(name, 16, rng) for name in "XY"]
     state = random_density(16, rng)
     start = time.process_time()
-    report = determinateness_battery(xs, state)
-    print("determinate", report.holds)
+    print("determinate", determinateness_battery(xs, state).holds)
+    print(time.process_time() - start)
+""")
+
+# A d = 20 pair with degenerate spectra: its 146-element commutant makes the
+# double-commutant system 116800 x 400, which raises MemoryError under the
+# limit; the word span reaches the 51-element algebra.
+_DEGENERATE_CHILD = _ONE_GIB + textwrap.dedent("""
+    from qlogic.algebras import algebra_from_generators
+    rng = rng_from_seed(1)
+    xs = [random_observable(name, 20, rng) for name in "XY"]
+    print("size", algebra_from_generators([x.matrix for x in xs], 20).size)
     print(time.process_time() - start)
 """)
 
 
-def test_d16_generic_pair_battery_fits_in_one_gib():
+def _run_under_one_gib(source):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    source = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", _WALL_CHILD], capture_output=True,
+    root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", source], capture_output=True,
                             text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr[-2000:]
     verdict, seconds = result.stdout.splitlines()
+    return verdict, float(seconds)
+
+
+def test_d16_generic_pair_battery_fits_in_one_gib():
+    verdict, seconds = _run_under_one_gib(_WALL_CHILD)
     assert verdict == "determinate False"
-    assert float(seconds) < 3.0
+    assert seconds < 3.0
+
+
+def test_d20_degenerate_pair_algebra_fits_in_one_gib():
+    verdict, seconds = _run_under_one_gib(_DEGENERATE_CHILD)
+    assert verdict == "size 51"
+    assert seconds < 3.0
