@@ -15,7 +15,10 @@ element commutes with every commutant element, which gives C(G) in C(A).
 sum_l c_l c_l^dag over HS-orthonormal bases of A and A' are sum (n/m) z and
 sum (m/n) z over the minimal central projections z, so their product is the
 identity; given (ii) it is the identity only when the commutant basis spans
-all of A' (the Wedderburn dimension identity in operator form).
+all of A' (the Wedderburn dimension identity in operator form).  The word
+span projects each new direction onto C(G)' (so (ii) checks rounding) by
+X -> R^-1 sum_l c_l X c_l^dag with R = sum_l c_l c_l^dag: the sum maps each
+block of A to m/n times its projection and the off-diagonal blocks to zero.
 
 The last build is kept by content: a generating family with the same
 dimension, tolerance ladder and generator entries as the one just built
@@ -182,7 +185,7 @@ def algebra_from_generators(generators: Sequence[np.ndarray], dim: int,
 
 def _build_algebra(gens: list[np.ndarray], dim: int, tol: ToleranceConfig) -> MatrixAlgebra:
     comm = commutant(gens, dim, tol)
-    basis = _word_span(gens, dim, tol)
+    basis = _word_span(gens, comm, dim, tol)
     if not _span_contains(_stack(basis), _stack([dagger(b) for b in basis]), tol):
         raise QLogicError("algebra span is not adjoint-closed")
     _check_fixpoint(gens, basis, comm, tol)
@@ -190,7 +193,8 @@ def _build_algebra(gens: list[np.ndarray], dim: int, tol: ToleranceConfig) -> Ma
                          commutant_basis=_read_only(comm), tol=tol)
 
 
-def _word_span(gens: Sequence[np.ndarray], dim: int, tol: ToleranceConfig) -> list[np.ndarray]:
+def _word_span(gens: Sequence[np.ndarray], comm: Sequence[np.ndarray], dim: int,
+               tol: ToleranceConfig) -> list[np.ndarray]:
     """HS-orthonormal basis of the span of words in the letters G u G^dag.
 
     Letters are the nonzero generators and their adjoints over their operator
@@ -198,6 +202,10 @@ def _word_span(gens: Sequence[np.ndarray], dim: int, tol: ToleranceConfig) -> li
     every letter, orthogonalizes twice against the basis and keeps directions
     above the floored kernel cutoff (products have Frobenius norm <= 1).  A
     step that adds nothing leaves the span closed under products; so does M_d.
+    Each kept direction is projected onto C(comm) and orthonormalized again:
+    a direction kept at a small residual s carries the basis's rounding over
+    s, and on near-degenerate generators chains of such steps would compound
+    it until the span left the algebra.
     """
     cube = np.asarray(gens, dtype=complex).reshape(len(gens), dim, dim)
     scales = opnorms(cube)
@@ -210,9 +218,21 @@ def _word_span(gens: Sequence[np.ndarray], dim: int, tol: ToleranceConfig) -> li
         for _ in range(2):
             products -= basis @ (dagger(basis) @ products)
         u, s, _ = _svd(products, full_matrices=False)
-        frontier = u[:, s > singular_cutoff(s, dim * dim, tol, _KERNEL_SCALE)]
+        cutoff = singular_cutoff(s, dim * dim, tol, _KERNEL_SCALE)
+        kept = _onto_commutant_of(comm, u[:, s > cutoff])
+        frontier = np.linalg.qr(kept - basis @ (dagger(basis) @ kept))[0]
         basis = np.hstack([basis, frontier])
     return [basis[:, k].reshape(dim, dim) for k in range(basis.shape[1])]
+
+
+def _onto_commutant_of(comm: Sequence[np.ndarray], vectors: np.ndarray) -> np.ndarray:
+    """HS-orthogonal projection of the vec columns onto the commutant of the
+    *-algebra spanned by the HS-orthonormal ``comm`` (module docstring)."""
+    c = np.stack(comm)
+    c_dag = np.conj(c).swapaxes(-1, -2)
+    dim = c.shape[-1]
+    averaged = np.sum(c @ vectors.T.reshape(-1, 1, dim, dim) @ c_dag, axis=1)
+    return np.linalg.solve(np.sum(c @ c_dag, axis=0), averaged).reshape(-1, dim * dim).T
 
 
 def _check_fixpoint(gens: Sequence[np.ndarray], basis: Sequence[np.ndarray],

@@ -94,13 +94,13 @@ def _as_matrix(value, path: str) -> np.ndarray:
 
 
 @contextmanager
-def _invalid_at(path: str):
-    """Report a failure at ``path`` as invalid input, but not a failed factorization."""
+def _invalid_at(path: str, errors: tuple[type[Exception], ...] = (QLogicError,)):
+    """Report ``errors`` at ``path`` as invalid input, but not a failed factorization."""
     try:
         yield
     except (ScenarioValidationError, ScenarioParseError, FactorizationError):
         raise
-    except (QLogicError, ValueError) as exc:
+    except errors as exc:
         raise ScenarioValidationError(path, str(exc)) from exc
 
 
@@ -108,7 +108,7 @@ def _state_from_spec(spec, path: str, dim: int, tol: ToleranceConfig) -> Density
     _expect(isinstance(spec, dict), path, "expected an object")
     _expect(set(spec) in ({"matrix"}, {"vector"}), path,
             "expected exactly one of 'matrix' or 'vector'")
-    with _invalid_at(path):
+    with _invalid_at(path, (QLogicError, ValueError)):
         if "vector" in spec:
             vector = _as_vector(spec["vector"], f"{path}.vector")
             if vector.shape[0] != dim:
