@@ -2,15 +2,16 @@
 
 The commutant is computed as the solution space of the linear system
 [X, G] = 0, [X, G^dag] = 0 over all generators G, vectorized row-major.
-Generated algebras are spans of words in the letters G u G^dag; centers are
-span intersections; minimal central projections come from eigenspaces of a
-random Hermitian central element, verified and retried if the randomization
-lands degenerate.
+Generated algebras are spans of words in the letters G u G^dag, and their
+commutators are taken over basis x letters; centers are span intersections;
+minimal central projections come from eigenspaces of a random Hermitian
+central element, verified and retried if the randomization lands degenerate.
 
 A build solves one commutant system, C(G); the fixpoint C(A) = C(G) of the
 word span A is checked without a solve, by three checks at assert_tol.
-(i) Every generator lies in A, which gives C(A) in C(G).  (ii) Every basis
-element commutes with every commutant element, which gives C(G) in C(A).
+(i) Every generator lies in A, which gives C(A) in C(G); it is checked first,
+before any word, as [g, c] = 0 for c in C(G) (so g is in A given (ii), (iii)).
+(ii) Every basis element commutes with every commutant element: C(G) in C(A).
 (iii) For A = (+) M_n (x) I_m (rotated), the sums sum_k b_k b_k^dag and
 sum_l c_l c_l^dag over HS-orthonormal bases of A and A' are sum (n/m) z and
 sum (m/n) z over the minimal central projections z, so their product is the
@@ -134,14 +135,16 @@ class MatrixAlgebra:
     """A unital *-subalgebra of the dim x dim matrices.
 
     ``basis`` and ``commutant_basis`` are Hilbert-Schmidt orthonormal; the
-    generating set is kept for reports.  All three are tuples of read-only
-    arrays, and the instance is frozen, since built algebras are shared.
-    Construct via :func:`algebra_from_generators`, which validates the
-    invariants.
+    generating set is kept for reports, and the basis spans the words in the
+    ``letters``: each nonzero generator, then each adjoint, over its operator
+    norm.  All are tuples of read-only arrays, and the instance is frozen,
+    since built algebras are shared.  Construct via
+    :func:`algebra_from_generators`, which validates the invariants.
     """
 
     dim: int
     generators: tuple[np.ndarray, ...] = field(repr=False)
+    letters: tuple[np.ndarray, ...] = field(repr=False)
     basis: tuple[np.ndarray, ...] = field(repr=False)
     commutant_basis: tuple[np.ndarray, ...] = field(repr=False)
     tol: ToleranceConfig = DEFAULT_TOL
@@ -164,7 +167,7 @@ def algebra_from_generators(generators: Sequence[np.ndarray], dim: int,
                             tol: ToleranceConfig = DEFAULT_TOL) -> MatrixAlgebra:
     """The span of words in the generators, with construction-time invariants.
 
-    The basis is ``_word_span`` of the generators and the commutant basis the
+    The basis is ``_word_span`` of the letters and the commutant basis the
     one solve ``commutant(generators)``.  Checks: the span is closed under
     adjoint, and C(A) = C(G) by the three solve-free checks of the module
     docstring at assert_tol: each generator is in the algebra as ``contains``
@@ -185,21 +188,27 @@ def algebra_from_generators(generators: Sequence[np.ndarray], dim: int,
 
 def _build_algebra(gens: list[np.ndarray], dim: int, tol: ToleranceConfig) -> MatrixAlgebra:
     comm = commutant(gens, dim, tol)
-    basis = _word_span(gens, comm, dim, tol)
+    comm_cube = np.stack(comm)
+    if not all(_commutes_with(g, comm_cube, tol) for g in gens):
+        raise QLogicError("algebra does not contain its generators")
+    cube = np.asarray(gens, dtype=complex).reshape(len(gens), dim, dim)
+    scales = opnorms(cube)
+    cube = cube[scales != 0.0] / scales[scales != 0.0, None, None]
+    letters = np.concatenate([cube, np.conj(cube).swapaxes(-1, -2)])
+    basis = _word_span(letters, comm, dim, tol)
     if not _span_contains(_stack(basis), _stack([dagger(b) for b in basis]), tol):
         raise QLogicError("algebra span is not adjoint-closed")
-    _check_fixpoint(gens, basis, comm, tol)
-    return MatrixAlgebra(dim=dim, generators=_read_only(gens), basis=_read_only(basis),
-                         commutant_basis=_read_only(comm), tol=tol)
+    _check_fixpoint(basis, comm, tol)
+    return MatrixAlgebra(dim=dim, generators=_read_only(gens), letters=_read_only(list(letters)),
+                         basis=_read_only(basis), commutant_basis=_read_only(comm), tol=tol)
 
 
-def _word_span(gens: Sequence[np.ndarray], comm: Sequence[np.ndarray], dim: int,
+def _word_span(letters: np.ndarray, comm: Sequence[np.ndarray], dim: int,
                tol: ToleranceConfig) -> list[np.ndarray]:
-    """HS-orthonormal basis of the span of words in the letters G u G^dag.
+    """HS-orthonormal basis of the span of words in the stacked letters.
 
-    Letters are the nonzero generators and their adjoints over their operator
-    norms.  From 1/sqrt(d), each step multiplies the newest directions by
-    every letter, orthogonalizes twice against the basis and keeps directions
+    From 1/sqrt(d), each step multiplies the newest directions by every
+    letter, orthogonalizes twice against the basis and keeps directions
     above the floored kernel cutoff (products have Frobenius norm <= 1).  A
     step that adds nothing leaves the span closed under products; so does M_d.
     Each kept direction is projected onto C(comm) and orthonormalized again:
@@ -207,10 +216,6 @@ def _word_span(gens: Sequence[np.ndarray], comm: Sequence[np.ndarray], dim: int,
     s, and on near-degenerate generators chains of such steps would compound
     it until the span left the algebra.
     """
-    cube = np.asarray(gens, dtype=complex).reshape(len(gens), dim, dim)
-    scales = opnorms(cube)
-    cube = cube[scales != 0.0] / scales[scales != 0.0, None, None]
-    letters = np.concatenate([cube, np.conj(cube).swapaxes(-1, -2)])
     basis = frontier = _vec(np.eye(dim) / np.sqrt(dim))[:, None]
     while frontier.shape[1] and basis.shape[1] < dim * dim:
         elements = frontier.T.reshape(-1, dim, dim)
@@ -235,21 +240,18 @@ def _onto_commutant_of(comm: Sequence[np.ndarray], vectors: np.ndarray) -> np.nd
     return np.linalg.solve(np.sum(c @ c_dag, axis=0), averaged).reshape(-1, dim * dim).T
 
 
-def _check_fixpoint(gens: Sequence[np.ndarray], basis: Sequence[np.ndarray],
-                    comm: Sequence[np.ndarray], tol: ToleranceConfig) -> None:
-    """Raise unless span(comm) is the commutant of span(basis) and of gens.
+def _check_fixpoint(basis: Sequence[np.ndarray], comm: Sequence[np.ndarray],
+                    tol: ToleranceConfig) -> None:
+    """Raise unless span(comm) is the commutant of span(basis).
 
-    The three checks of the module docstring.  Generator membership is the
-    test ``contains`` applies, [g, c] = 0 for every commutant element c;
-    once the other two checks make span(comm) all of A', that puts g in
-    A'' = A.  (A span-residual test scaled by the Frobenius norm is looser
+    Checks (ii) and (iii) of the module docstring; once they make span(comm)
+    all of A', check (i), the test ``contains`` applies, puts each generator
+    in A'' = A.  (A span-residual test scaled by the Frobenius norm is looser
     by up to sqrt(dim) and passes generators that ``contains`` rejects.)
     [b, c] = 0 is one stacked product per commutant element; both bases are
     HS-orthonormal, so their operator norms are at most one.
     """
     cube, comm_cube = np.stack(basis), np.stack(comm)
-    if not all(_commutes_with(g, comm_cube, tol) for g in gens):
-        raise QLogicError("algebra does not contain its generators")
     for c in comm_cube:
         if not _opnorms_within(commutator(c, cube), tol.assert_tol):
             raise QLogicError("algebra basis does not commute with its commutant")
@@ -278,6 +280,16 @@ def contains(algebra: MatrixAlgebra, matrix) -> bool:
     if m.shape[0] != algebra.dim:
         raise DimensionMismatchError(f"matrix of dimension {m.shape[0]}, expected {algebra.dim}")
     return _commutes_with(m, np.stack(algebra.commutant_basis), algebra.tol)
+
+
+def letter_commutator_norm(algebra: MatrixAlgebra, right: np.ndarray) -> float:
+    """Largest opnorm([a, g] @ right) over basis elements a and letters g (0.0
+    with none): zero exactly when every [a_i, a_j] @ right is, since [a, gh] =
+    [ag, h] + [ha, g] reaches every word.  One norm call per letter keeps
+    memory at |A| d^2."""
+    basis = np.stack(algebra.basis)
+    return max((float(np.max(opnorms(commutator(basis, g) @ right))) for g in algebra.letters),
+               default=0.0)
 
 
 def center(algebra: MatrixAlgebra) -> list[np.ndarray]:
@@ -348,12 +360,10 @@ def _verify_minimal_central(candidates: list[Projector], algebra: MatrixAlgebra,
     total = sum(p.matrix for p in candidates)
     if opnorm(total - np.eye(algebra.dim)) > t.assert_tol:
         return False, "candidates do not sum to the identity"
-    basis = np.stack(algebra.basis)
-    limits = t.assert_tol * np.maximum(1.0, opnorms(basis))
     for p in candidates:
         if not contains(algebra, p.matrix):
             return False, "candidate not in the algebra"
-        if np.any(opnorms(commutator(p.matrix, basis)) > limits):
+        if any(opnorm(commutator(p.matrix, g)) > t.assert_tol for g in algebra.letters):
             return False, "candidate not central"
         # Minimality: the center compresses to scalars on the range.
         r = max(p.rank, 1)

@@ -11,10 +11,11 @@ Independent routes to the same object:
   which is linear-algebraic rather than lattice-built;
 * ``com_observables``: the spectral-family kernel route for observables,
   cross-checked against the joint kernel of [a, g] over a basis a of the
-  generated *-algebra and the letters g of G and G^dag.  That kernel equals
-  the one of all basis pairs [a_i, a_j], since [a, gh] = [ag, h] + [ha, g]
-  reaches every word from the letters, with |A| * 2k * d rows for k
-  generators instead of |A| (|A| - 1) / 2 * d.
+  generated *-algebra and its letters g.  That kernel equals the one of all
+  basis pairs [a_i, a_j], since [a, gh] = [ag, h] + [ha, g] reaches every
+  word from the letters, with |A| * 2k * d rows for k generators instead of
+  |A| (|A| - 1) / 2 * d.  The same identity answers the centrality and
+  abelian-below questions of the subcommutator and factorization checks.
 
 The engine never collapses routes into each other: route agreement is the
 load-bearing correctness signal.  Each function judges at the tolerance of its
@@ -29,9 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import MatrixAlgebra, algebra_from_generators, minimal_central_projections
+from .algebras import (
+    MatrixAlgebra,
+    algebra_from_generators,
+    contains,
+    letter_commutator_norm,
+    minimal_central_projections,
+)
 from .errors import CrossCheckFailure, DimensionMismatchError, FamilyTooLargeError
-from .linalg import commutator, dagger, max_pair_commutator_norm, opnorm, opnorms
+from .linalg import commutator, opnorm
 from .observables import Observable
 from .projectors import Projector, common_null_space_projector, join_all, leq, meet_all, ortho
 from .tolerances import ToleranceConfig
@@ -97,9 +104,8 @@ def com_observables(observables: Sequence[Observable]) -> Projector:
 
     Production route: the triple-product kernel over the cumulative spectral
     projectors.  Cross-check route: the joint kernel of the stacked
-    commutators [a, g] of a basis a of the generated *-algebra with each
-    nonzero generator g and its adjoint, each divided by its operator norm.
-    It reads the raw generator matrices and the algebra basis, never the
+    commutators [a, g] of a basis a of the generated *-algebra with its
+    letters g.  It reads the algebra of the raw generator matrices, never the
     spectral projectors.  Disagreement raises CrossCheckFailure since both
     characterize the same projection.
     """
@@ -115,12 +121,11 @@ def com_observables(observables: Sequence[Observable]) -> Projector:
 
 
 def _algebra_route(gens: Sequence[np.ndarray], dim: int, tol: ToleranceConfig) -> Projector:
-    """Joint kernel of [a, g] over the generated algebra's basis a and the
-    letters g: each nonzero generator and its adjoint, divided by its norm."""
-    basis = np.stack(algebra_from_generators(gens, dim, tol).basis)
-    letters = [m / scale for g, scale in zip(gens, opnorms(gens)) if scale != 0.0
-               for m in (g, dagger(g))]
-    blocks = [commutator(basis, g).reshape(-1, dim) for g in letters]
+    """Joint kernel of [a, g] over the generated algebra's basis a and its
+    letters g."""
+    algebra = algebra_from_generators(gens, dim, tol)
+    basis = np.stack(algebra.basis)
+    blocks = [commutator(basis, g).reshape(-1, dim) for g in algebra.letters]
     return common_null_space_projector(blocks, dim, tol)
 
 
@@ -143,18 +148,16 @@ def verify_subcommutator(family: Sequence[Projector],
                          algebra: MatrixAlgebra) -> SubcommutatorReport:
     """Report on the subcommutator role of com(F) inside the given algebra.
 
-    Checks that E = com(F) is central, that the compressions P_i E commute
-    pairwise, and that the same holds below every minimal central projection
-    under E (the interval property of the compatible part).
+    Checks that E = com(F) is central (it lies in the algebra and commutes
+    with every letter), that the compressions P_i E commute pairwise, and that
+    the same holds below every minimal central projection under E (the
+    interval property of the compatible part).
     """
     members = list(family)
     e = com_family(members)
-    basis = np.stack(algebra.basis)
-    scale = max(1.0, float(np.max(opnorms(basis))))
-    limit = members[0].tol.assert_tol * scale
-    central = bool(np.all(opnorms(commutator(e.matrix, basis)) <= limit))
-    from .algebras import contains as algebra_contains
-    central = central and algebra_contains(algebra, e.matrix)
+    limit = members[0].tol.assert_tol
+    central = (all(opnorm(commutator(e.matrix, g)) <= limit for g in algebra.letters)
+               and contains(algebra, e.matrix))
     compressions_commute = _compressed_family_commutes(members, e)
     interval_ranks: list[int] = []
     interval_commute: list[bool] = []
@@ -170,7 +173,8 @@ def verify_subcommutator(family: Sequence[Projector],
 
 def _compressed_family_commutes(members: Sequence[Projector], central: Projector) -> bool:
     compressed = [p.matrix @ central.matrix for p in members]
-    return max_pair_commutator_norm(compressed) <= members[0].tol.assert_tol
+    return max((opnorm(commutator(a, b)) for a, b in itertools.combinations(compressed, 2)),
+               default=0.0) <= members[0].tol.assert_tol
 
 
 @dataclass
@@ -195,12 +199,13 @@ def boolean_factorization_check(family: Sequence[Projector],
 
     Below c the compressed algebra must be abelian; below every minimal
     central projection orthogonal to c it must fail to be abelian, i.e. no
-    Boolean factor survives on the incompatible side.
+    Boolean factor survives on the incompatible side.  Both are asked over
+    basis x letters (``letter_commutator_norm``).
     """
     members = list(family)
     c = com_family(members)
     tol = members[0].tol
-    worst = max_pair_commutator_norm(algebra.basis, c.matrix)
+    worst = letter_commutator_norm(algebra, c.matrix)
     abelian_below = worst <= tol.assert_tol
     c_perp = ortho(c)
     blocks: list[int] = []
@@ -209,7 +214,7 @@ def boolean_factorization_check(family: Sequence[Projector],
     for e in minimal_central_projections(algebra):
         if not leq(e, c_perp):
             continue
-        peak = max_pair_commutator_norm(algebra.basis, e.matrix)
+        peak = letter_commutator_norm(algebra, e.matrix)
         blocks.append(e.rank)
         norms.append(peak)
         flags.append(peak > tol.assert_tol)

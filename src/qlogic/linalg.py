@@ -3,12 +3,12 @@
 Everything downstream funnels through these few routines so the tolerance
 policy is applied in exactly one place.  Matrices are plain complex ndarrays;
 no sparsity, dimensions stay at desk scale.  The operator norm is taken here
-too: ``opnorm`` for one matrix, ``opnorms`` for a stack in one batched SVD
-call, and ``max_pair_commutator_norm`` for the largest [M_i, M_j] R over the
-pairs of a family, formed one stacked row of pairs at a time.  The batched
-forms give each matrix the bits ``opnorm`` gives it.  Likewise
-``solution_bases`` solves a stack of equal-shape homogeneous systems in one
-batched SVD call and gives each system the bits ``solution_basis`` gives it.
+too: ``opnorm`` for one matrix and ``opnorms`` for a stack in one batched SVD
+call, which gives each matrix the bits ``opnorm`` gives it; commutators
+inside a generated algebra are taken over basis x letters in ``algebras``,
+not over pairs.  Likewise ``solution_bases`` solves a stack of equal-shape
+homogeneous systems in one batched SVD call and gives each system the bits
+``solution_basis`` gives it.
 Every SVD or Hermitian eigendecomposition in the package goes through ``_svd``
 or ``eigh`` here; one that fails to converge raises ``NonFiniteError`` when its
 input holds a non-finite entry and ``FactorizationError`` otherwise, and a
@@ -115,22 +115,6 @@ def opnorms(stack) -> np.ndarray:
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[a, b]; either side may be a stack, which broadcasts."""
     return a @ b - b @ a
-
-
-def max_pair_commutator_norm(matrices, right=None) -> float:
-    """Largest opnorm([M_i, M_j] @ right) over pairs i < j; 0.0 for fewer than two.
-
-    Row i holds the pairs (i, j > i) as one stack: one batched product and
-    norm call per row, with memory bounded by one row.
-    """
-    cube = np.asarray(matrices, dtype=complex)
-    worst = 0.0
-    for i in range(len(cube) - 1):
-        row = commutator(cube[i], cube[i + 1:])
-        if right is not None:
-            row = row @ right
-        worst = max(worst, float(np.max(opnorms(row))))
-    return worst
 
 
 def matrices_commute(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebras import algebra_from_generators
+from .algebras import algebra_from_generators, letter_commutator_norm
 from .commutators import com_observables
 from .errors import (
     CrossCheckFailure,
@@ -34,7 +34,6 @@ from .linalg import (
     hermitian_eig,
     kron,
     matrices_commute,
-    max_pair_commutator_norm,
     opnorm,
     opnorms,
     require_square,
@@ -278,10 +277,10 @@ def determinateness_battery(observables: Sequence[Observable],
     """Evaluate all determinateness characterizations and enforce agreement.
 
     Clauses: the commutator carries full probability; it fixes the state; the
-    cyclic subspace sits below it; the generated algebra's commutators kill
-    the state; the family compressed to the cyclic subspace commutes; and the
-    spectral-atom product masses form an additive probability measure.  When
-    all pass, the joint distribution is constructed and attached.
+    cyclic subspace sits below it; the generated algebra's commutators, over
+    basis x letters, kill the state; the family compressed to the cyclic
+    subspace commutes; and the spectral-atom product masses form an additive
+    probability measure.  When all pass, the joint distribution is attached.
     """
     t = state.tol
     xs = list(observables)
@@ -304,7 +303,7 @@ def determinateness_battery(observables: Sequence[Observable],
     clauses["cyclic_dominated"] = domination <= t.assert_tol
     residuals["cyclic_dominated"] = domination
 
-    worst = max_pair_commutator_norm(alg.basis, state.matrix)
+    worst = letter_commutator_norm(alg, state.matrix)
     clauses["algebra_kills_state"] = worst <= t.assert_tol
     residuals["algebra_kills_state"] = worst
 

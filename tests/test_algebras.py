@@ -15,16 +15,20 @@ from qlogic.algebras import (
     center,
     commutant,
     contains,
+    letter_commutator_norm,
     minimal_central_projections,
 )
 from qlogic.errors import DimensionMismatchError, QLogicError
-from qlogic.linalg import commutator, dagger, max_pair_commutator_norm, opnorm, range_basis
+from qlogic.linalg import commutator, dagger, opnorm, range_basis
+from qlogic.projectors import Projector
 from qlogic.sampling import (
     haar_unitary,
     random_block_observables,
     random_commuting_observables,
     random_density,
+    random_determinate_family,
     random_observable,
+    random_vector_state,
     rng_from_seed,
 )
 from qlogic.tolerances import DEFAULT_TOL, ToleranceConfig
@@ -136,6 +140,15 @@ def test_minimal_central_projection_of_factor_is_identity():
     assert centrals[0].rank == 2
 
 
+def test_minimal_central_check_rejects_a_candidate_that_is_not_central():
+    # Both diagonal rays lie in M_2 and pass the minimality test against its
+    # scalar center, but neither commutes with the letter sigma_x.
+    alg = algebra_from_generators([SIGMA_X, SIGMA_Z], 2)
+    rays = [Projector.from_matrix(np.diag(d).astype(complex)) for d in ([1.0, 0.0], [0.0, 1.0])]
+    assert algebras._verify_minimal_central(rays, alg, center(alg)) == (
+        False, "candidate not central")
+
+
 def test_span_equal():
     first = [np.eye(2, dtype=complex), SIGMA_Z]
     second = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
@@ -193,7 +206,7 @@ def test_memo_is_not_changed_by_mutating_the_input():
 def test_memoized_algebras_are_read_only():
     alg = algebra_from_generators([SIGMA_X, SIGMA_Z], 2)
     assert isinstance(alg.basis, tuple)
-    for field in (alg.generators, alg.basis, alg.commutant_basis):
+    for field in (alg.generators, alg.letters, alg.basis, alg.commutant_basis):
         with pytest.raises(ValueError):
             field[0][0, 0] = 7.0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -216,7 +229,7 @@ def test_memoized_algebra_equals_a_fresh_build_bitwise(rng):
     cached = algebra_from_generators(gens, 4)
     assert algebra_from_generators(gens, 4) is cached
     fresh = algebras._build_algebra([g.copy() for g in gens], 4, DEFAULT_TOL)
-    for name in ("generators", "basis", "commutant_basis"):
+    for name in ("generators", "letters", "basis", "commutant_basis"):
         ours, theirs = getattr(cached, name), getattr(fresh, name)
         assert len(ours) == len(theirs)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs))
@@ -329,32 +342,62 @@ def test_commutant_rejects_a_generator_of_another_size():
 
 
 def _max_pair_by_loop(matrices, right):
+    """Largest opnorm([a_i, a_j] @ right) over basis pairs: the oracle for
+    questions asked over basis x letters."""
     worst = 0.0
     for i in range(len(matrices)):
         for j in range(i + 1, len(matrices)):
-            c = commutator(matrices[i], matrices[j])
-            worst = max(worst, opnorm(c if right is None else c @ right))
+            worst = max(worst, opnorm(commutator(matrices[i], matrices[j]) @ right))
     return worst
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10_000),
-       dim=st.integers(min_value=2, max_value=5),
-       blocks=st.booleans(),
-       keep=st.sampled_from([0, 1, 2, None]),
-       with_right=st.booleans())
-def test_max_pair_commutator_norm_matches_pair_loop(seed, dim, blocks, keep, with_right):
-    rng = rng_from_seed(seed)
-    if blocks:
-        split = [dim // 2, dim - dim // 2]
-        gens = [x.matrix for x in random_block_observables(split, [False, True], 2, rng)]
+_LETTER_KINDS = ["commuting", "determinate-block", "generic", "split", "noisy"]
+
+
+def _letter_case(kind, dim, rng):
+    """A generating family and its right factors R: a random density, a
+    vector state, the identity, the sector state of a determinate-block
+    family and every minimal central projection of the built algebra."""
+    sector = []
+    if kind == "determinate-block":
+        family, state = random_determinate_family(max(dim, 4), 2, rng)
+        gens, sector = [x.matrix for x in family], [state.matrix]
+    elif kind == "split":
+        gens = _split_pair(dim, 10.0 ** -int(rng.integers(3, 7)), rng)
+    elif kind == "noisy":
+        x = random_observable("X", dim, rng).matrix
+        noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        gens = [x, x + 10.0 ** -int(rng.integers(3, 8)) * (noise + dagger(noise))]
     else:
-        gens = [random_observable("X", dim, rng).matrix, random_observable("Y", dim, rng).matrix]
-    basis = algebra_from_generators(gens, dim).basis[:keep]
-    right = random_density(dim, rng).matrix if with_right else None
-    assert max_pair_commutator_norm(basis, right) == _max_pair_by_loop(basis, right)
-    if len(basis) < 2:
-        assert max_pair_commutator_norm(basis, right) == 0.0
+        gens = _family(kind, dim, rng)
+    dim = len(gens[0])
+    alg = algebra_from_generators(gens, dim)
+    rights = [random_density(dim, rng).matrix, random_vector_state(dim, rng).matrix,
+              np.eye(dim, dtype=complex), *sector,
+              *(c.matrix for c in minimal_central_projections(alg))]
+    return alg, rights
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=2, max_value=6),
+       kind=st.sampled_from(_LETTER_KINDS))
+def test_letter_commutator_norm_judges_as_the_pair_loop(seed, dim, kind):
+    try:
+        alg, rights = _letter_case(kind, dim, rng_from_seed(seed))
+    except QLogicError:
+        # Only a near-degenerate family may be refused by the build.
+        assert kind in ("split", "noisy")
+        return
+    tol = DEFAULT_TOL.assert_tol
+    for right in rights:
+        letters = letter_commutator_norm(alg, right)
+        assert (letters <= tol) == (_max_pair_by_loop(alg.basis, right) <= tol)
+
+
+def test_letter_commutator_norm_of_the_scalar_algebra_is_zero():
+    alg = algebra_from_generators([np.zeros((3, 3), dtype=complex)], 3)
+    assert alg.letters == () and letter_commutator_norm(alg, np.eye(3)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +471,9 @@ def _wedderburn_residual(basis, comm):
     return opnorm(left @ right - np.eye(len(left)))
 
 
-def _fixpoint_ok(gens, basis, comm):
+def _fixpoint_ok(basis, comm):
     try:
-        algebras._check_fixpoint(gens, basis, comm, DEFAULT_TOL)
+        algebras._check_fixpoint(basis, comm, DEFAULT_TOL)
     except QLogicError:
         return False
     return True
@@ -546,20 +589,49 @@ def test_fixpoint_checks_reject_a_mutated_basis_or_commutant(seed, dim, kind, mu
         extra = (rng.normal(size=dim * dim) + 1j * rng.normal(size=dim * dim))
         extra -= stack @ (dagger(stack) @ extra)
         comm.append((extra / np.linalg.norm(extra)).reshape(dim, dim))
-    # No generators: the membership check (which reads only the commutant)
-    # stays out, so the basis-commutant and Wedderburn checks must catch it.
-    assert _fixpoint_ok([], alg.basis, alg.commutant_basis)
+    # The membership check (which reads only the commutant) runs before the
+    # span, so the basis-commutant and Wedderburn checks must catch it.
+    assert _fixpoint_ok(alg.basis, alg.commutant_basis)
     with pytest.raises(QLogicError, match="commute with its commutant|span the algebra's"):
-        algebras._check_fixpoint([], basis, comm, DEFAULT_TOL)
+        algebras._check_fixpoint(basis, comm, DEFAULT_TOL)
 
 
-def test_fixpoint_checks_reject_a_missing_generator():
+def _builds_over_commutant(gens, comm, monkeypatch):
+    """Whether ``_build_algebra`` accepts gens when the commutant solve
+    returns ``comm``."""
+    monkeypatch.setattr(algebras, "commutant", lambda *args: list(comm))
+    try:
+        algebras._build_algebra(gens, 3, DEFAULT_TOL)
+    except QLogicError as error:
+        assert str(error) == "algebra does not contain its generators"
+        return False
+    return True
+
+
+def test_fixpoint_checks_reject_a_missing_generator(monkeypatch):
     # The diagonal algebra does not hold sigma_x on its first two coordinates.
     alg = algebra_from_generators([np.diag([1.0, 2.0, 3.0]).astype(complex)], 3)
     embedded = np.zeros((3, 3), dtype=complex)
     embedded[:2, :2] = SIGMA_X
-    assert not _fixpoint_ok([embedded], alg.basis, alg.commutant_basis)
-    assert _fixpoint_ok([np.diag([1.0, 2.0, 3.0])], alg.basis, alg.commutant_basis)
+    assert not _builds_over_commutant([embedded], alg.commutant_basis, monkeypatch)
+    assert _builds_over_commutant([np.diag([1.0, 2.0, 3.0])], alg.commutant_basis, monkeypatch)
+
+
+@pytest.mark.parametrize("dim, seed", [(7, 1000), (8, 1002), (8, 1003)])
+def test_a_family_missing_its_generators_is_refused_before_any_word(monkeypatch, dim, seed):
+    # At a 1e-7 split the commutant solve of these families keeps a spurious
+    # element; checked first, membership refuses them after the one solve.
+    calls = []
+    original = algebras._word_span
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(algebras, "_word_span", counted)
+    with pytest.raises(QLogicError):
+        algebras._build_algebra(_split_pair(dim, 1e-7, seed), dim, DEFAULT_TOL)
+    assert calls == []
 
 
 def test_a_build_solves_one_commutant_system(monkeypatch):
@@ -586,10 +658,13 @@ def test_a_split_well_above_the_cutoff_is_a_new_word(split):
 
 
 def test_words_of_a_nilpotent_generator_take_its_adjoint():
-    # E_01 alone spans {1, E_01}; with E_10 its words span M_2.
+    # E_01 alone spans {1, E_01}; with E_10 its words span M_2.  The letters
+    # are the generator over its norm, then its adjoint.
     unit = np.zeros((2, 2), dtype=complex)
     unit[0, 1] = 1.0
-    assert algebra_from_generators([unit], 2).size == 4
+    alg = algebra_from_generators([2.0 * unit], 2)
+    assert alg.size == 4
+    assert np.array_equal(np.stack(alg.letters), [unit, unit.T])
 
 
 # ---------------------------------------------------------------------------

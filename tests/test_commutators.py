@@ -299,6 +299,19 @@ def test_verify_subcommutator_block_fixture():
     assert all(report.interval_commute)
 
 
+def test_verify_subcommutator_reports_a_com_that_is_not_central():
+    # A letter coupling coordinates 1 and 2 makes the algebra M_3 (+) C on
+    # coordinates {0, 1, 2} and {3}: com(F), the second block, lies in it but
+    # is not central.
+    p, q = block_pair()
+    mixer = np.zeros((4, 4), dtype=complex)
+    mixer[1, 2] = mixer[2, 1] = 1.0
+    algebra = algebra_from_generators([p.matrix, q.matrix, mixer], 4)
+    report = verify_subcommutator([p, q], algebra)
+    assert opnorm(report.com.matrix - SECOND_BLOCK) < 1e-8
+    assert not report.central and not report.passed
+
+
 def test_boolean_factorization_block_fixture():
     p, q = block_pair()
     algebra = algebra_from_generators([p.matrix, q.matrix], 4)
