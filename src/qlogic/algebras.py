@@ -20,12 +20,6 @@ all of A' (the Wedderburn dimension identity in operator form).  The word
 span projects each new direction onto C(G)' (so (ii) checks rounding) by
 X -> R^-1 sum_l c_l X c_l^dag with R = sum_l c_l c_l^dag: the sum maps each
 block of A to m/n times its projection and the off-diagonal blocks to zero.
-
-The last build is kept by content: a generating family with the same
-dimension, tolerance ladder and generator entries as the one just built
-returns that algebra.  The build is deterministic, so the kept algebra is
-the one a fresh build would return.  Algebras are read-only (frozen, with
-read-only arrays) because callers share them.
 """
 
 from __future__ import annotations
@@ -47,6 +41,7 @@ from .linalg import (
     require_square,
     singular_cutoff,
     solution_basis,
+    unit_norm_stack,
 )
 from .projectors import Projector
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -54,12 +49,6 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 # Random central combinations minimal_central_projections draws before it gives
 # up; each one separates the central blocks with probability one.
 _CENTRAL_ATTEMPTS = 5
-
-# The last algebra algebra_from_generators built, with its key.  The repeats
-# callers make come right after the build they repeat (determinateness_battery
-# builds one family in com_observables, cyclic_projector and its own body), so
-# one slot takes every hit a larger store would.
-_last: tuple[tuple, MatrixAlgebra] | None = None
 
 
 def _vec(m: np.ndarray) -> np.ndarray:
@@ -138,7 +127,7 @@ class MatrixAlgebra:
     generating set is kept for reports, and the basis spans the words in the
     ``letters``: each nonzero generator, then each adjoint, over its operator
     norm.  All are tuples of read-only arrays, and the instance is frozen,
-    since built algebras are shared.  Construct via
+    so the invariants checked at construction keep holding.  Construct via
     :func:`algebra_from_generators`, which validates the invariants.
     """
 
@@ -175,25 +164,15 @@ def algebra_from_generators(generators: Sequence[np.ndarray], dim: int,
     (sum_k b_k b_k^dag)(sum_l c_l c_l^dag) is the identity.  A failed check
     raises QLogicError, so a near-degenerate family whose commutant solve
     admits near-commuting elements is refused rather than returned as an
-    algebra that misses its generators.  The family built last, at the same
-    dimension and tolerance, returns the kept algebra.
+    algebra that misses its generators.  The algebra keeps copies of the
+    generators, so later changes to the inputs do not reach it.
     """
-    global _last
-    gens = [require_square(g) for g in generators]
-    key = (dim, tol, tuple((g.shape, g.tobytes()) for g in gens))
-    if _last is None or _last[0] != key:
-        _last = (key, _build_algebra([g.copy() for g in gens], dim, tol))
-    return _last[1]
-
-
-def _build_algebra(gens: list[np.ndarray], dim: int, tol: ToleranceConfig) -> MatrixAlgebra:
+    gens = [require_square(g).copy() for g in generators]
     comm = commutant(gens, dim, tol)
     comm_cube = np.stack(comm)
     if not all(_commutes_with(g, comm_cube, tol) for g in gens):
         raise QLogicError("algebra does not contain its generators")
-    cube = np.asarray(gens, dtype=complex).reshape(len(gens), dim, dim)
-    scales = opnorms(cube)
-    cube = cube[scales != 0.0] / scales[scales != 0.0, None, None]
+    cube = unit_norm_stack(gens, dim)
     letters = np.concatenate([cube, np.conj(cube).swapaxes(-1, -2)])
     basis = _word_span(letters, comm, dim, tol)
     if not _span_contains(_stack(basis), _stack([dagger(b) for b in basis]), tol):

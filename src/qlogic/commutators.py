@@ -10,12 +10,11 @@ Independent routes to the same object:
 * ``com_kernel``: the joint kernel of the triple products [P1, P2] P3,
   which is linear-algebraic rather than lattice-built;
 * ``com_observables``: the spectral-family kernel route for observables,
-  cross-checked against the joint kernel of [a, g] over a basis a of the
-  generated *-algebra and its letters g.  That kernel equals the one of all
-  basis pairs [a_i, a_j], since [a, gh] = [ag, h] + [ha, g] reaches every
-  word from the letters, with |A| * 2k * d rows for k generators instead of
-  |A| (|A| - 1) / 2 * d.  The same identity answers the centrality and
-  abelian-below questions of the subcommutator and factorization checks.
+  cross-checked by the raw matrices alone: com is the largest subspace of
+  the joint kernel K0 of the pairwise [X_i, X_j] that every Hermitian X_i
+  leaves invariant (Shemesh, Linear Algebra Appl. 62 (1984) 11-18), reached
+  from K0 by Wonham's recursion K <- {v in K : (1 - Pi_K) X_i v = 0} (Linear
+  Multivariable Control, 3rd ed. 1985); no algebra is built.
 
 The engine never collapses routes into each other: route agreement is the
 load-bearing correctness signal.  Each function judges at the tolerance of its
@@ -30,15 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import (
-    MatrixAlgebra,
-    algebra_from_generators,
-    contains,
-    letter_commutator_norm,
-    minimal_central_projections,
-)
+from .algebras import MatrixAlgebra, contains, letter_commutator_norm, minimal_central_projections
 from .errors import CrossCheckFailure, DimensionMismatchError, FamilyTooLargeError
-from .linalg import commutator, opnorm
+from .linalg import commutator, dagger, opnorm, solution_basis, unit_norm_stack
 from .observables import Observable
 from .projectors import Projector, common_null_space_projector, join_all, leq, meet_all, ortho
 from .tolerances import ToleranceConfig
@@ -60,9 +53,7 @@ def com_family(family: Sequence[Projector]) -> Projector:
     Exponential in the family size by construction; families larger than
     twelve are rejected rather than silently approximated.
     """
-    members = list(family)
-    if not members:
-        raise FamilyTooLargeError("commutator of an empty family is not defined here")
+    members = _members(family)
     if len(members) > _MAX_FAMILY:
         raise FamilyTooLargeError(
             f"family of size {len(members)} exceeds the sign-map expansion cap {_MAX_FAMILY}")
@@ -75,6 +66,17 @@ def com_family(family: Sequence[Projector]) -> Projector:
     return join_all(meets, dim=dim)
 
 
+def _members(family: Sequence) -> list:
+    """The family as a list, refused when it is empty or spans two spaces."""
+    members = list(family)
+    if not members:
+        raise FamilyTooLargeError("commutator of an empty family is not defined here")
+    dims = sorted({m.dim for m in members})
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"family members on different spaces: dims {dims}")
+    return members
+
+
 def com_kernel(family: Sequence[Projector]) -> Projector:
     """Commutator as the joint kernel of the triple products [P1, P2] P3.
 
@@ -82,9 +84,7 @@ def com_kernel(family: Sequence[Projector]) -> Projector:
     are stacked rather than summed as squares so the kernel pins every
     [P_i, P_j] P_k psi down at working precision.
     """
-    members = list(family)
-    if not members:
-        raise FamilyTooLargeError("commutator of an empty family is not defined here")
+    members = _members(family)
     dim = members[0].dim
     cube = np.stack([p.matrix for p in members])
     # Row i stacks [P_i, P_j] P_k over j > i, then k: the pair-major order of
@@ -103,30 +103,36 @@ def com_observables(observables: Sequence[Observable]) -> Projector:
     """Commutator of finitely many observables.
 
     Production route: the triple-product kernel over the cumulative spectral
-    projectors.  Cross-check route: the joint kernel of the stacked
-    commutators [a, g] of a basis a of the generated *-algebra with its
-    letters g.  It reads the algebra of the raw generator matrices, never the
-    spectral projectors.  Disagreement raises CrossCheckFailure since both
-    characterize the same projection.
+    projectors.  Cross-check route: ``_invariant_route`` of the raw matrices,
+    which reads no spectral projector.  Disagreement raises CrossCheckFailure
+    since both characterize the same projection.
     """
-    xs = list(observables)
+    xs = _members(observables)
     tol = xs[0].tol
     spectral_route = com_kernel(threshold_family(xs))
-    algebra_route = _algebra_route([x.matrix for x in xs], xs[0].dim, tol)
-    gap = opnorm(spectral_route.matrix - algebra_route.matrix)
+    invariant_route = _invariant_route([x.matrix for x in xs], xs[0].dim, tol)
+    gap = opnorm(spectral_route.matrix - invariant_route.matrix)
     if gap > tol.assert_tol:
         raise CrossCheckFailure(
             f"commutator routes disagree by {gap:.3e} on {[x.name for x in xs]}")
     return spectral_route
 
 
-def _algebra_route(gens: Sequence[np.ndarray], dim: int, tol: ToleranceConfig) -> Projector:
-    """Joint kernel of [a, g] over the generated algebra's basis a and its
-    letters g."""
-    algebra = algebra_from_generators(gens, dim, tol)
-    basis = np.stack(algebra.basis)
-    blocks = [commutator(basis, g).reshape(-1, dim) for g in algebra.letters]
-    return common_null_space_projector(blocks, dim, tol)
+def _invariant_route(matrices: Sequence[np.ndarray], dim: int, tol: ToleranceConfig) -> Projector:
+    """Wonham's recursion of the module docstring over the unit-norm X_i: each
+    step solves (1 - Q Q^dag) X_i Q c = 0 for K's orthonormal basis Q."""
+    letters = unit_norm_stack(matrices, dim)
+    pairs = [commutator(letters[i], letters[i + 1:]).reshape(-1, dim)
+             for i in range(len(letters) - 1)]
+    basis = common_null_space_projector(pairs, dim, tol).basis
+    while basis.shape[1]:
+        moved = letters @ basis
+        leak = (moved - basis @ (dagger(basis) @ moved)).reshape(-1, basis.shape[1])
+        kept = solution_basis(leak, basis.shape[1], tol)
+        if kept.shape[1] == basis.shape[1]:
+            break
+        basis = basis @ kept
+    return Projector(basis, dim=dim, tol=tol)
 
 
 @dataclass

@@ -112,6 +112,18 @@ def opnorms(stack) -> np.ndarray:
     return norms
 
 
+def unit_norm_stack(matrices, dim: int) -> np.ndarray:
+    """The nonzero matrices stacked, each over its operator norm; a matrix that
+    is not dim x dim raises."""
+    mats = [require_square(m) for m in matrices]
+    for m in mats:
+        if m.shape[0] != dim:
+            raise DimensionMismatchError(f"matrix of dimension {m.shape[0]}, expected {dim}")
+    cube = np.asarray(mats, dtype=complex).reshape(len(mats), dim, dim)
+    scales = opnorms(cube)
+    return cube[scales != 0.0] / scales[scales != 0.0, None, None]
+
+
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[a, b]; either side may be a stack, which broadcasts."""
     return a @ b - b @ a

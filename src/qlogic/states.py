@@ -36,7 +36,9 @@ from .linalg import (
     matrices_commute,
     opnorm,
     opnorms,
+    range_basis,
     require_square,
+    unit_norm_stack,
 )
 from .observables import Observable
 from .projectors import (
@@ -200,21 +202,22 @@ def cyclic_projector(observables: Sequence[Observable], state: DensityState) -> 
     This is the smallest projection commuting with the family that leaves the
     state invariant; both properties are asserted before returning.  One
     observable generates the span of its eigenprojectors E_i, so its orbit is
-    spanned by the vectors E_i psi and no algebra is built; larger families
-    span the generated algebra's basis applied to the support.
+    spanned by the vectors E_i psi.  A larger family grows the support V by
+    V <- span(V, X_i V) over the unit-norm X_i until the rank stops growing,
+    which leaves V closed under every word in the X_i.
     """
     t = state.tol
     xs = list(observables)
-    dim = state.dim
+    letters = unit_norm_stack([x.matrix for x in xs], state.dim)
+    support = state.support.basis
     if len(xs) == 1:
-        if xs[0].dim != dim:
-            raise DimensionMismatchError(f"{xs[0].name} and the state live on different spaces")
-        columns = [e.matrix @ state.support.basis for e in xs[0].eigenprojectors]
+        span = range_basis(np.hstack([e.matrix @ support for e in xs[0].eigenprojectors]), t)
     else:
-        alg = algebra_from_generators([x.matrix for x in xs], dim, t)
-        columns = [b @ state.support.basis for b in alg.basis]
-    stacked = np.hstack(columns) if columns else state.support.basis
-    projector = Projector.from_basis(stacked, dim=dim, tol=t)
+        span, rank = support, -1
+        while span.shape[1] != rank:
+            rank = span.shape[1]
+            span = range_basis(np.hstack([span, *(letters @ span)]), t)
+    projector = Projector(span, dim=state.dim, tol=t)
     for x in xs:
         scale = max(1.0, opnorm(x.matrix))
         if opnorm(commutator(projector.matrix, x.matrix)) > t.assert_tol * scale:

@@ -167,43 +167,29 @@ def test_double_commutant_is_idempotent(rng):
 
 
 # ---------------------------------------------------------------------------
-# memoized builds
+# built algebras
 
 
-def test_memo_returns_the_same_algebra_for_equal_generators():
-    first = algebra_from_generators([SIGMA_X, SIGMA_Z], 2)
-    again = algebra_from_generators([SIGMA_X.copy(), SIGMA_Z.real], 2)
-    assert again is first
-
-
-def test_memo_misses_on_dimension_tolerance_and_entries():
+def test_algebra_from_generators_checks_dimension_and_keeps_tolerance():
     assert algebra_from_generators([], 2).dim == 2
     assert algebra_from_generators([], 3).dim == 3
-    algebra_from_generators([SIGMA_X], 2)
     with pytest.raises(DimensionMismatchError):
         algebra_from_generators([SIGMA_X], 3)
-    base = algebra_from_generators([SIGMA_X, SIGMA_Z], 2)
     looser = ToleranceConfig(assert_tol=1e-7)
-    other_tol = algebra_from_generators([SIGMA_X, SIGMA_Z], 2, looser)
-    assert other_tol is not base and other_tol.tol == looser
-    nudged = SIGMA_Z.copy()
-    nudged[0, 0] += 1e-12
-    assert algebra_from_generators([SIGMA_X, nudged], 2) is not base
-    assert algebra_from_generators([SIGMA_Z, SIGMA_X], 2) is not base
+    assert algebra_from_generators([SIGMA_X, SIGMA_Z], 2, looser).tol == looser
 
 
-def test_memo_is_not_changed_by_mutating_the_input():
+def test_algebra_is_not_changed_by_mutating_the_input():
     g = np.diag([1.0, 2.0, 2.0]).astype(complex)
     alg = algebra_from_generators([g], 3)
     basis = [b.copy() for b in alg.basis]
     g[0, 1] = g[1, 0] = 1.0
     assert np.array_equal(alg.generators[0], np.diag([1.0, 2.0, 2.0]))
     assert all(np.array_equal(b, c) for b, c in zip(alg.basis, basis))
-    changed = algebra_from_generators([g], 3)
-    assert changed is not alg and changed.size != alg.size
+    assert algebra_from_generators([g], 3).size != alg.size
 
 
-def test_memoized_algebras_are_read_only():
+def test_algebras_are_read_only():
     alg = algebra_from_generators([SIGMA_X, SIGMA_Z], 2)
     assert isinstance(alg.basis, tuple)
     for field in (alg.generators, alg.letters, alg.basis, alg.commutant_basis):
@@ -211,28 +197,6 @@ def test_memoized_algebras_are_read_only():
             field[0][0, 0] = 7.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         alg.dim = 3
-
-
-def test_memo_keeps_only_the_last_family():
-    first = algebra_from_generators([np.diag([0.0, 1.0])], 2)
-    assert algebra_from_generators([np.diag([0.0, 1.0])], 2) is first
-    other = algebra_from_generators([np.diag([2.0, 3.5])], 2)
-    assert algebras._last[1] is other
-    assert algebra_from_generators([np.diag([2.0, 3.5])], 2) is other
-    assert algebra_from_generators([np.diag([0.0, 1.0])], 2) is not first
-
-
-def test_memoized_algebra_equals_a_fresh_build_bitwise(rng):
-    x = random_observable("X", 4, rng)
-    y = random_observable("Y", 4, rng)
-    gens = [x.matrix, y.matrix]
-    cached = algebra_from_generators(gens, 4)
-    assert algebra_from_generators(gens, 4) is cached
-    fresh = algebras._build_algebra([g.copy() for g in gens], 4, DEFAULT_TOL)
-    for name in ("generators", "letters", "basis", "commutant_basis"):
-        ours, theirs = getattr(cached, name), getattr(fresh, name)
-        assert len(ours) == len(theirs)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +453,7 @@ def _oracle_refuses(gens, dim):
 
 def _assert_solve_free_checks_match_the_oracle(gens, dim, oracle=None):
     basis, comm = oracle or _build_by_fixpoint_solve(gens, dim)
-    alg = algebras._build_algebra([g.copy() for g in gens], dim, DEFAULT_TOL)
+    alg = algebra_from_generators(gens, dim)
     # The word span is built apart from the oracle's second solve (it uses
     # the one commutant solve only to project its new directions); the
     # commutant is the same one solve on both sides.
@@ -597,11 +561,11 @@ def test_fixpoint_checks_reject_a_mutated_basis_or_commutant(seed, dim, kind, mu
 
 
 def _builds_over_commutant(gens, comm, monkeypatch):
-    """Whether ``_build_algebra`` accepts gens when the commutant solve
+    """Whether ``algebra_from_generators`` accepts gens when the commutant solve
     returns ``comm``."""
     monkeypatch.setattr(algebras, "commutant", lambda *args: list(comm))
     try:
-        algebras._build_algebra(gens, 3, DEFAULT_TOL)
+        algebra_from_generators(gens, 3)
     except QLogicError as error:
         assert str(error) == "algebra does not contain its generators"
         return False
@@ -630,7 +594,7 @@ def test_a_family_missing_its_generators_is_refused_before_any_word(monkeypatch,
 
     monkeypatch.setattr(algebras, "_word_span", counted)
     with pytest.raises(QLogicError):
-        algebras._build_algebra(_split_pair(dim, 1e-7, seed), dim, DEFAULT_TOL)
+        algebra_from_generators(_split_pair(dim, 1e-7, seed), dim)
     assert calls == []
 
 
@@ -643,7 +607,7 @@ def test_a_build_solves_one_commutant_system(monkeypatch):
         return original(generators, dim, tol)
 
     monkeypatch.setattr(algebras, "commutant", counted)
-    assert algebras._build_algebra([SIGMA_X, SIGMA_Z], 2, DEFAULT_TOL).size == 4
+    assert algebra_from_generators([SIGMA_X, SIGMA_Z], 2).size == 4
     assert calls == [2]
 
 

@@ -17,7 +17,7 @@ from qlogic.commutators import (
     threshold_family,
     verify_subcommutator,
 )
-from qlogic.errors import FamilyTooLargeError
+from qlogic.errors import DimensionMismatchError, FamilyTooLargeError
 from qlogic.linalg import commutator, opnorm
 from qlogic.observables import spectral_decompose
 from qlogic.projectors import Projector, common_null_space_projector
@@ -25,6 +25,7 @@ from qlogic.sampling import (
     haar_unitary,
     random_block_observables,
     random_commuting_observables,
+    random_determinate_family,
     random_observable,
     random_projector,
     rng_from_seed,
@@ -170,6 +171,27 @@ def test_com_kernel_empty_family_rejected():
         com_kernel([])
 
 
+def test_com_kernel_rejects_members_of_different_dimensions():
+    with pytest.raises(DimensionMismatchError):
+        com_kernel([Projector.identity(2), Projector.identity(3)])
+
+
+def test_com_observables_empty_family_rejected():
+    with pytest.raises(FamilyTooLargeError):
+        com_observables([])
+
+
+def test_com_observables_rejects_members_of_different_dimensions():
+    with pytest.raises(DimensionMismatchError):
+        com_observables([spectral_decompose("Z", SIGMA_Z),
+                         spectral_decompose("D", np.diag([1.0, 2.0, 3.0]))])
+
+
+def test_invariant_route_rejects_a_member_of_another_dimension():
+    with pytest.raises(DimensionMismatchError):
+        commutators._invariant_route([SIGMA_Z, np.eye(3)], 2, DEFAULT_TOL)
+
+
 # ---------------------------------------------------------------------------
 # observable families
 
@@ -206,7 +228,7 @@ def test_com_observables_matches_projector_route():
 
 
 def test_com_observables_returns_the_spectral_route_bits(rng):
-    # The algebra route only checks; the result is the spectral kernel route's.
+    # The invariant route only checks; the result is the spectral kernel route's.
     pauli = [spectral_decompose("Z", SIGMA_Z), spectral_decompose("X", SIGMA_X)]
     commuting = random_commuting_observables(4, 3, rng)
     block = random_block_observables([2, 3], [False, True], 2, rng)
@@ -217,9 +239,18 @@ def test_com_observables_returns_the_spectral_route_bits(rng):
         assert np.array_equal(ours.matrix, spectral.matrix)
 
 
+def _algebra_route(gens, dim, tol=DEFAULT_TOL):
+    """Oracle for the invariant route: the joint kernel of [a, g] over a basis
+    a of the generated algebra and its letters g."""
+    algebra = algebra_from_generators(gens, dim, tol)
+    basis = np.stack(algebra.basis)
+    blocks = [commutator(basis, g).reshape(-1, dim) for g in algebra.letters]
+    return common_null_space_projector(blocks, dim, tol)
+
+
 def _all_pairs_route(gens, dim, tol=DEFAULT_TOL):
-    """The cross-check route over all basis pairs [a_i, a_j], kept as the
-    oracle for the basis x generator route."""
+    """The joint kernel of all basis pairs [a_i, a_j] of the generated
+    algebra: the oracle for the invariant route's raw-matrix answer."""
     basis = np.stack(algebra_from_generators(gens, dim, tol).basis)
     blocks = [commutator(basis[i], basis[i + 1:]).reshape(-1, dim)
               for i in range(len(basis) - 1)]
@@ -228,16 +259,18 @@ def _all_pairs_route(gens, dim, tol=DEFAULT_TOL):
 
 def _observable_family(kind, dim, count, rng):
     if kind == "generic":
-        return [random_observable(f"X{k}", dim, rng).matrix for k in range(count)]
+        return [random_observable(f"X{k}", dim, rng) for k in range(count)]
     if kind == "commuting":
-        return [x.matrix for x in random_commuting_observables(dim, count, rng)]
+        return random_commuting_observables(dim, count, rng)
     if kind == "block":
-        split = [dim // 2, dim - dim // 2]
-        return [x.matrix for x in random_block_observables(split, [False, True], count, rng)]
+        return random_block_observables([dim // 2, dim - dim // 2], [False, True], count, rng)
+    if kind == "determinate-block":
+        return random_determinate_family(dim, max(count, 2), rng)[0]
     # A generic family with one member replaced by a scalar or by zero.
-    family = [random_observable(f"X{k}", dim, rng).matrix for k in range(count)]
-    family[int(rng.integers(count))] = (rng.normal() * np.eye(dim, dtype=complex)
-                                        if kind == "scalar" else np.zeros((dim, dim), complex))
+    family = [random_observable(f"X{k}", dim, rng) for k in range(count)]
+    member = (rng.normal() * np.eye(dim, dtype=complex) if kind == "scalar"
+              else np.zeros((dim, dim), complex))
+    family[int(rng.integers(count))] = spectral_decompose("S", member)
     return family
 
 
@@ -248,12 +281,12 @@ def _observable_family(kind, dim, count, rng):
        kind=st.sampled_from(["generic", "commuting", "block", "scalar", "zero"]))
 def test_generator_route_matches_all_pairs_route(seed, dim, count, kind):
     rng = rng_from_seed(seed)
-    gens = _observable_family(kind, dim, count, rng)
+    gens = [x.matrix for x in _observable_family(kind, dim, count, rng)]
     if kind == "generic" and count == 1 and dim >= 4:
         # A rotated block family: the kernel is a proper nonzero subspace.
         u = haar_unitary(dim, rng)
-        gens = [u @ g @ u.conj().T for g in _observable_family("block", dim, 2, rng)]
-    ours = commutators._algebra_route(gens, dim, DEFAULT_TOL)
+        gens = [u @ x.matrix @ u.conj().T for x in _observable_family("block", dim, 2, rng)]
+    ours = commutators._invariant_route(gens, dim, DEFAULT_TOL)
     oracle = _all_pairs_route(gens, dim)
     assert ours.rank == oracle.rank
     assert opnorm(ours.matrix - oracle.matrix) <= DEFAULT_TOL.assert_tol
@@ -262,24 +295,25 @@ def test_generator_route_matches_all_pairs_route(seed, dim, count, kind):
 def test_generator_route_of_zero_and_scalar_generators_is_identity():
     for gens in ([np.zeros((3, 3), complex)], [2.5 * np.eye(3, dtype=complex)],
                  [np.zeros((3, 3), complex), np.eye(3, dtype=complex)]):
-        assert commutators._algebra_route(gens, 3, DEFAULT_TOL).rank == 3
+        assert commutators._invariant_route(gens, 3, DEFAULT_TOL).rank == 3
         assert _all_pairs_route(gens, 3).rank == 3
 
 
-def test_generator_route_rows_grow_with_basis_times_generators(monkeypatch):
-    seen = []
-    original = commutators.common_null_space_projector
-
-    def recording(blocks, dim, tol):
-        seen.append(sum(len(b) for b in blocks))
-        return original(blocks, dim, tol)
-
-    monkeypatch.setattr(commutators, "common_null_space_projector", recording)
-    rng = rng_from_seed(3)
-    gens = [random_observable(name, 5, rng).matrix for name in "XY"]
-    commutators._algebra_route(gens, 5, DEFAULT_TOL)
-    # The pair generates M_5: 25 basis elements x 2 generators x (g, g^dag) x 5 rows.
-    assert seen == [25 * 2 * 2 * 5]
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=2, max_value=8),
+       count=st.integers(min_value=1, max_value=3),
+       kind=st.sampled_from(["generic", "commuting", "block", "determinate-block",
+                             "scalar", "zero"]))
+def test_invariant_route_matches_the_spectral_and_algebra_routes(seed, dim, count, kind):
+    if kind == "determinate-block":
+        dim = max(dim, 4)
+    xs = _observable_family(kind, dim, count, rng_from_seed(seed))
+    gens = [x.matrix for x in xs]
+    ours = commutators._invariant_route(gens, dim, DEFAULT_TOL)
+    for oracle in (com_kernel(threshold_family(xs)), _algebra_route(gens, dim)):
+        assert ours.rank == oracle.rank
+        assert opnorm(ours.matrix - oracle.matrix) <= DEFAULT_TOL.assert_tol
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from conftest import pairs, vector_pairs
 from qlogic import cli, scenario
 from qlogic.errors import FactorizationError, ScenarioParseError, ScenarioValidationError
+from qlogic.sampling import random_observable, rng_from_seed
 from qlogic.scenario import load_scenario, scenario_from_document
 
 
@@ -255,6 +256,24 @@ def test_cli_input_errors(scenario_file, tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("[1,")
     assert run_cli(["eval", str(broken), "zpos"]).returncode == 2
+
+
+@pytest.mark.parametrize("eps", [3e-9, 5e-9, 2e-8, 1e-7, 1e-6])
+def test_cli_com_of_a_near_degenerate_observable_ends_cleanly(write_scenario, eps):
+    # X's eigenvalue split eps straddles the clustering and rank cutoffs, the
+    # band where the two com routes can see different operators.  Any exit
+    # code of the contract is allowed for now; a traceback is not.
+    y = random_observable("Y", 4, rng_from_seed(0), n_values=4).matrix
+    path = write_scenario({
+        "dimension": 4,
+        "observables": {"X": {"matrix": pairs(np.diag([1.0, 1.0 + eps, 1.0, 1.0 + eps]))},
+                        "Y": {"matrix": pairs(y)}},
+        "states": {"mixed": {"matrix": pairs(np.eye(4) / 4.0)}},
+        "propositions": {"c": "com(X, Y)"},
+    })
+    result = run_cli(["eval", path, "c"])
+    assert result.returncode in (0, 1, 2)
+    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])

@@ -25,6 +25,7 @@ from qlogic.projectors import Projector, meet_all
 from qlogic.propositions import ObservableRegistry, parse
 from qlogic.sampling import (
     random_agreeing_pair,
+    random_block_observables,
     random_commuting_observables,
     random_density,
     random_determinate_family,
@@ -194,9 +195,9 @@ def test_cyclic_projector_grows_with_mixing(pauli_x):
     assert p.rank == 2
 
 
-def _cyclic_by_algebra(x, state):
+def _cyclic_by_algebra(xs, state):
     """The algebra route: span of b psi over a basis b of the generated algebra."""
-    alg = algebra_from_generators([x.matrix], state.dim)
+    alg = algebra_from_generators([x.matrix for x in xs], state.dim)
     return Projector.from_basis(np.hstack([b @ state.support.basis for b in alg.basis]),
                                 dim=state.dim)
 
@@ -220,7 +221,7 @@ def test_one_observable_cyclic_projector_matches_algebra_route(seed, dim, values
         eigenspace = x.eigenprojectors[int(rng.integers(len(x.eigenprojectors)))]
         state = state_supported_in(eigenspace, rng)
     direct = cyclic_projector([x], state)
-    oracle = _cyclic_by_algebra(x, state)
+    oracle = _cyclic_by_algebra([x], state)
     assert direct.rank == oracle.rank
     assert opnorm(direct.matrix - oracle.matrix) <= DEFAULT_TOL.assert_tol
     if kind == "eigenspace":
@@ -230,6 +231,40 @@ def test_one_observable_cyclic_projector_matches_algebra_route(seed, dim, values
 def test_one_observable_cyclic_projector_requires_matching_dims(pauli_z):
     with pytest.raises(DimensionMismatchError):
         cyclic_projector([pauli_z], DensityState.maximally_mixed(3))
+
+
+def test_family_cyclic_projector_requires_matching_dims(pauli_z):
+    with pytest.raises(DimensionMismatchError):
+        cyclic_projector([pauli_z, diag_obs("D", 0.0, 1.0, 2.0)], DensityState.maximally_mixed(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=2, max_value=8),
+       count=st.integers(min_value=2, max_value=3),
+       family=st.sampled_from(["generic", "commuting", "block", "determinate-block"]),
+       kind=st.sampled_from(["vector", "mixed", "full"]))
+def test_family_cyclic_projector_matches_algebra_route(seed, dim, count, family, kind):
+    rng = rng_from_seed(seed)
+    if family == "generic":
+        xs = [random_observable(f"X{k}", dim, rng) for k in range(count)]
+    elif family == "commuting":
+        xs = random_commuting_observables(dim, count, rng)
+    elif family == "block":
+        xs = random_block_observables([dim // 2, dim - dim // 2], [False, True], count, rng)
+    else:
+        xs, _ = random_determinate_family(max(dim, 4), count, rng)
+    dim = xs[0].dim
+    if kind == "vector":
+        state = random_vector_state(dim, rng)
+    elif kind == "mixed":
+        state = random_density(dim, rng)
+    else:
+        state = random_density(dim, rng, rank=dim)
+    orbit = cyclic_projector(xs, state)
+    oracle = _cyclic_by_algebra(xs, state)
+    assert orbit.rank == oracle.rank
+    assert opnorm(orbit.matrix - oracle.matrix) <= DEFAULT_TOL.assert_tol
 
 
 # ---------------------------------------------------------------------------
