@@ -1,8 +1,9 @@
 """Command-line front end over scenario files and the builtin check suites.
 
 Numbers are printed at 12 significant digits through one canonicalization
-path, so the JSON report of a run is byte-identical across repeated
-invocations with the same scenario and seed.  Exit codes: 0 when every
+path: handlers put raw floats in their reports, and ``main`` applies
+``_canon_tree`` to every JSON report, so the report of a run is
+byte-identical across repeated invocations with the same scenario and seed.  Exit codes: 0 when every
 assertion passes, 1 when a checked assertion fails (any other QLogicError
 included), 2 for an ``InputError`` or an unreadable file.
 """
@@ -36,16 +37,23 @@ def _canon(value: float) -> float:
     return float(f"{float(value):.12g}")
 
 
-def _pair(z: complex) -> list[float]:
-    return [_canon(z.real), _canon(z.imag)]
+def _canon_tree(value):
+    """A report with every float in it canonicalized; tuples are not walked."""
+    if isinstance(value, dict):
+        return {k: _canon_tree(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_canon_tree(v) for v in value]
+    if isinstance(value, float):
+        return _canon(value)
+    return value
 
 
 def _matrix_json(matrix: np.ndarray) -> list[list[list[float]]]:
-    return [[_pair(complex(entry)) for entry in row] for row in np.asarray(matrix)]
+    return [[[z.real, z.imag] for z in map(complex, row)] for row in np.asarray(matrix)]
 
 
 def _atoms_json(distribution: JointDistribution) -> list[dict]:
-    return [{"values": [_canon(v) for v in values], "mass": _canon(mass)}
+    return [{"values": list(values), "mass": mass}
             for values, mass in distribution.sorted_items()]
 
 
@@ -106,10 +114,10 @@ def _cmd_prob(args, tol: ToleranceConfig):
         "command": "prob",
         "proposition": args.proposition,
         "state": args.state,
-        "probability": _canon(value),
+        "probability": value,
         "holds": value >= 1.0 - tol.assert_tol,
     }
-    return report, [f"Pr{{{args.proposition} | {args.state}}} = {report['probability']:.12g}"], 0
+    return report, [f"Pr{{{args.proposition} | {args.state}}} = {value:.12g}"], 0
 
 
 def _cmd_check(args, tol: ToleranceConfig):
@@ -135,7 +143,7 @@ def _cmd_check(args, tol: ToleranceConfig):
         "state": state_name,
         rank_key: result.projector.rank,
         "clauses": dict(sorted(result.clauses.items())),
-        "residuals": {k: _canon(v) for k, v in sorted(result.residuals.items())},
+        "residuals": dict(sorted(result.residuals.items())),
         args.kind: result.holds,
     }
     if result.distribution is not None:
@@ -180,8 +188,7 @@ def _cmd_measure(args, tol: ToleranceConfig):
         "state": args.state,
         "clauses": dict(sorted(result.clauses.items())),
         "measures": result.holds,
-        "output_distribution": {f"{_canon(k):.12g}": _canon(v)
-                                for k, v in sorted(distribution.items())},
+        "output_distribution": {f"{k:.12g}": v for k, v in sorted(distribution.items())},
     }
     lines = [f"{args.process} measures {args.observable} in {args.state}: {result.holds}"]
     lines += [f"  {k}: {v}" for k, v in sorted(result.clauses.items())]
@@ -227,19 +234,7 @@ def _cmd_battery(args, tol: ToleranceConfig):
         "passed": all(r.passed for r in results),
     }
     lines = [line for r in results for line in _suite_lines(r)]
-    return _canon_tree(report), lines, 0 if report["passed"] else 1
-
-
-def _canon_tree(value):
-    if isinstance(value, dict):
-        return {k: _canon_tree(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_canon_tree(v) for v in value]
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return _canon(value)
-    return value
+    return report, lines, 0 if report["passed"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +323,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         report, lines, code = args.handler(args, tol)
-        print(json.dumps(report, sort_keys=True, indent=2) if args.json else "\n".join(lines))
+        print(json.dumps(_canon_tree(report), sort_keys=True, indent=2) if args.json
+              else "\n".join(lines))
         return code
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,13 +2,12 @@
 
 Everything downstream funnels through these few routines so the tolerance
 policy is applied in exactly one place.  Matrices are plain complex ndarrays;
-no sparsity, dimensions stay at desk scale.  The operator norm is taken here
-too: ``opnorm`` for one matrix and ``opnorms`` for a stack in one batched SVD
-call, which gives each matrix the bits ``opnorm`` gives it; commutators
-inside a generated algebra are taken over basis x letters in ``algebras``,
-not over pairs.  Likewise ``solution_bases`` solves a stack of equal-shape
-homogeneous systems in one batched SVD call and gives each system the bits
-``solution_basis`` gives it.
+no sparsity, dimensions stay at desk scale.  Each batched kernel is the one
+implementation: ``opnorms`` takes the operator norm of a stack of matrices and
+``solution_bases`` solves a stack of equal-shape homogeneous systems, each in
+one batched SVD call, and ``opnorm`` and ``solution_basis`` are each the
+batched kernel on a stack of one; commutators inside a generated algebra are
+taken over basis x letters in ``algebras``, not over pairs.
 Every SVD or Hermitian eigendecomposition in the package goes through ``_svd``
 or ``eigh`` here; one that fails to converge raises ``NonFiniteError`` when its
 input holds a non-finite entry and ``FactorizationError`` otherwise, and a
@@ -18,7 +17,7 @@ guard can pass on NaN.
 
 from __future__ import annotations
 
-import math
+import bisect
 
 import numpy as np
 
@@ -88,21 +87,12 @@ def _non_finite_norm(a: np.ndarray) -> NonFiniteError:
 
 
 def opnorm(m) -> float:
-    """Operator 2-norm (largest singular value)."""
-    m = np.asarray(m, dtype=complex)
-    if m.size == 0:
-        return 0.0
-    try:
-        norm = float(np.linalg.norm(m, 2))
-    except np.linalg.LinAlgError as exc:
-        raise _factorization_failure(m, exc, "SVD") from exc
-    if not math.isfinite(norm):
-        raise _non_finite_norm(m)
-    return norm
+    """Operator 2-norm (largest singular value): ``opnorms`` of the stack of one."""
+    return float(opnorms(as_matrix(m)[None])[0])
 
 
 def opnorms(stack) -> np.ndarray:
-    """Operator 2-norm of each matrix in a stack, as ``opnorm`` computes it."""
+    """Operator 2-norm of each matrix in a stack, in one batched SVD call."""
     s = np.asarray(stack, dtype=complex)
     if s.size == 0:
         return np.zeros(len(s))
@@ -168,14 +158,15 @@ def hermitian_eig(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarra
     return eigenvalues, eigenvectors
 
 
-def singular_cutoff(singular_values: np.ndarray, dim: int, tol: ToleranceConfig,
+def singular_cutoff(singular_values, dim: int, tol: ToleranceConfig,
                     scale_floor: float = 0.0) -> float:
     """Rank cutoff: rank_rel_tol relative to largest singular value times dimension.
 
+    ``singular_values`` is one descending sequence, an array or a list.
     ``scale_floor`` raises the reference scale: the kernel solvers pass
     ``_KERNEL_SCALE``, and ``range_basis`` keeps the unfloored rule.
     """
-    if singular_values.size == 0:
+    if len(singular_values) == 0:
         return 0.0
     return tol.rank_rel_tol * max(float(singular_values[0]), scale_floor) * dim
 
@@ -195,34 +186,21 @@ def kernel_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def solution_basis(system, unknowns: int, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the solution space of A x = 0 for rectangular A.
-
-    Membership is judged by singular values at or below the floored
-    rank_rel_tol cutoff, so non-Hermitian systems need no special casing.
-    """
+    """Orthonormal basis of the solution space of A x = 0 for rectangular A:
+    ``solution_bases`` of the stack of one."""
     a = np.asarray(system, dtype=complex)
     if a.ndim != 2 or a.shape[1] != unknowns:
         raise DimensionMismatchError(f"system shape {a.shape} does not match {unknowns} unknowns")
-    if a.shape[0] == 0:
-        return np.eye(unknowns, dtype=complex)
-    if a.shape[0] < unknowns:
-        # Pad to square so the economy factorization still carries every
-        # right-singular direction; a full left factor of a tall stack
-        # would be quadratic in the row count.
-        a = np.vstack([a, np.zeros((unknowns - a.shape[0], unknowns), dtype=complex)])
-    _, s, vh = _svd(a, full_matrices=False)
-    cutoff = singular_cutoff(s, unknowns, tol, _KERNEL_SCALE)
-    rank = int(np.count_nonzero(s > cutoff))
-    return dagger(vh)[:, rank:]
+    return solution_bases(a[None], unknowns, tol)[0]
 
 
 def solution_bases(systems, unknowns: int,
                    tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-    """``solution_basis`` of each system in a stack of equal-shape systems.
+    """Orthonormal basis of the solution space of each system in a stack of
+    equal-shape systems A x = 0, in one batched SVD call.
 
-    The stack is factored in one batched SVD call, and each system gets the
-    bits ``solution_basis`` gives it: the same padding, factorization and
-    cutoff.
+    Membership is judged by singular values at or below the floored
+    rank_rel_tol cutoff, so non-Hermitian systems need no special casing.
     """
     a = np.asarray(systems, dtype=complex)
     if a.ndim != 3 or a.shape[2] != unknowns:
@@ -231,14 +209,20 @@ def solution_bases(systems, unknowns: int,
     if a.shape[1] == 0:
         return [np.eye(unknowns, dtype=complex) for _ in range(len(a))]
     if a.shape[1] < unknowns:
+        # Pad to square so the economy factorization still carries every
+        # right-singular direction; a full left factor of a tall stack
+        # would be quadratic in the row count.
         padding = np.zeros((len(a), unknowns - a.shape[1], unknowns), dtype=complex)
         a = np.concatenate([a, padding], axis=1)
     _, s, vh = _svd(a, full_matrices=False)
     bases = []
-    for values, right in zip(s, vh):
+    # Ranked on Python floats: a numpy call per system costs a microsecond or
+    # two, which at desk scale is a tenth of the factorization.  LAPACK returns
+    # each system's singular values in descending order.
+    for i, values in enumerate(s.tolist()):
         cutoff = singular_cutoff(values, unknowns, tol, _KERNEL_SCALE)
-        rank = int(np.count_nonzero(values > cutoff))
-        bases.append(dagger(right)[:, rank:])
+        rank = len(values) - bisect.bisect_right(values[::-1], cutoff)
+        bases.append(dagger(vh[i, rank:]))
     return bases
 
 

@@ -159,8 +159,10 @@ def meet_all(projectors: Sequence[Projector], dim: int | None = None) -> Project
 def meet_each(families: Sequence[Sequence[Projector]], dim: int) -> list[Projector]:
     """``meet_all`` of each family in a list of families of one size.
 
-    The families' kernel systems are stacked and factored in one batched
-    call; each meet has the bits ``meet_all`` gives it.
+    The families' kernel systems are stacked and factored in one
+    ``solution_bases`` call.  ``meet_all`` solves through ``solution_basis``,
+    the same kernel on a stack of one, so each meet has the bits ``meet_all``
+    gives it by construction.
     """
     families = [list(family) for family in families]
     sizes = {len(family) for family in families}

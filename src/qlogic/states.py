@@ -24,6 +24,7 @@ from .commutators import com_observables
 from .errors import (
     CrossCheckFailure,
     DimensionMismatchError,
+    FamilyTooLargeError,
     InconsistentBattery,
     NotCommutingError,
     QLogicError,
@@ -46,7 +47,6 @@ from .projectors import (
     common_null_space_projector,
     leq,
     meet,
-    meet_all,
     meet_each,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -330,24 +330,29 @@ def determinateness_battery(observables: Sequence[Observable],
     return ClauseReport.checked("determinateness", clauses, residuals, com, distribution)
 
 
+def _joint_atoms(xs: Sequence[Observable], dim: int) -> list[Projector]:
+    """The joint spectral atoms E_1(v_1) ^ ... ^ E_n(v_n) of a family, over its
+    spectral grid in ``itertools.product`` order, factored in one ``meet_each``
+    call."""
+    grid = itertools.product(*([x.eigenprojector_at(v) for v in x.spectrum] for x in xs))
+    return meet_each(list(grid), dim)
+
+
 def _grid_measure(xs: list[Observable], state: DensityState,
                   t: ToleranceConfig) -> tuple[dict[tuple[float, ...], float], float, bool]:
     """Spectral-atom product masses plus their worst additivity violation.
 
     Summing one axis out of the grid must give the mass of the meet over the
-    remaining atoms.  The meets of each grid (the full one, then one per
-    summed-out axis) are factored together by ``meet_each``.
+    remaining atoms.  Each grid (the full one, then one per summed-out axis)
+    is one ``_joint_atoms`` call.
     """
-    atom_projectors = [[x.eigenprojector_at(v) for v in x.spectrum] for x in xs]
     shape = tuple(len(x.spectrum) for x in xs)
 
-    def grid_masses(axes: list[int]) -> np.ndarray:
-        families = [[atom_projectors[j][k] for j, k in zip(axes, combo)]
-                    for combo in itertools.product(*(range(shape[j]) for j in axes))]
+    def grid_masses(family: list[Observable]) -> np.ndarray:
         return np.array([float(np.real(np.trace(p.matrix @ state.matrix)))
-                         for p in meet_each(families, state.dim)])
+                         for p in _joint_atoms(family, state.dim)])
 
-    grid = grid_masses(list(range(len(xs))))
+    grid = grid_masses(xs)
     masses = {tuple(x.spectrum[k] for x, k in zip(xs, combo)): float(value)
               for combo, value in zip(itertools.product(*map(range, shape)), grid)}
     worst = max(0.0, -float(np.min(grid)), abs(float(sum(masses.values())) - 1.0))
@@ -358,7 +363,7 @@ def _grid_measure(xs: list[Observable], state: DensityState,
         summed = np.zeros(shape[:j] + shape[j + 1:])
         for k in range(shape[j]):
             summed = summed + np.take(grid, k, axis=j)
-        direct = grid_masses([i for i in range(len(xs)) if i != j])
+        direct = grid_masses(xs[:j] + xs[j + 1:])
         worst = max(worst, float(np.max(np.abs(summed.ravel() - direct))))
     return masses, worst, worst <= t.assert_tol
 
@@ -477,8 +482,9 @@ def equality_battery(x: Observable, y: Observable, state: DensityState) -> Claus
     diagonal_mass = 0.0
     determinate = simultaneously_determinate([x, y], state)
     if determinate:
-        for v in merged:
-            p = meet(x.eigenprojector_at(v), y.eigenprojector_at(v))
+        diagonal = meet_each([[x.eigenprojector_at(v), y.eigenprojector_at(v)] for v in merged],
+                             state.dim)
+        for p in diagonal:
             diagonal_mass += float(np.real(np.trace(p.matrix @ state.matrix)))
     clauses["diagonal_concentration"] = determinate and diagonal_mass >= 1.0 - t.assert_tol
     residuals["diagonal_concentration"] = 1.0 - diagonal_mass
@@ -524,42 +530,31 @@ def common_eigenvector_projector(observables: Sequence[Observable],
     ``determinate`` mode spans every joint eigenspace of the family and must
     reproduce the commutator projection.  ``equal`` mode spans the common
     eigenspaces with matching eigenvalues of a pair and must reproduce the
-    equality projector.
+    equality projector.  Each mode takes its meets in one ``meet_each`` call.
     """
     xs = list(observables)
+    if not xs:
+        raise FamilyTooLargeError("common eigenvectors of an empty family are not defined here")
     t = xs[0].tol
     dim = xs[0].dim
     if mode == "determinate":
-        grids = [range(len(x.spectrum)) for x in xs]
-        bases = []
-        for combo in itertools.product(*grids):
-            parts = [x.eigenprojector_at(x.spectrum[k]) for x, k in zip(xs, combo)]
-            p = meet_all(parts, dim=dim)
-            if p.rank:
-                bases.append(p.basis)
-        span = Projector.from_basis(np.hstack(bases) if bases else np.zeros((dim, 0)),
-                                    dim=dim, tol=t)
         target = com_observables(xs)
+        atoms = _joint_atoms(xs, dim)
         label = "commutator projection"
     elif mode == "equal":
         if len(xs) != 2:
             raise DimensionMismatchError("equal mode compares exactly two observables")
         x, y = xs
-        width = max(x.snap_width, y.snap_width)
-        bases = []
-        for a in x.spectrum:
-            for b in y.spectrum:
-                if abs(a - b) > width:
-                    continue
-                p = meet(x.eigenprojector_at(a), y.eigenprojector_at(b))
-                if p.rank:
-                    bases.append(p.basis)
-        span = Projector.from_basis(np.hstack(bases) if bases else np.zeros((dim, 0)),
-                                    dim=dim, tol=t)
         target = equality_projector(x, y)
+        width = max(x.snap_width, y.snap_width)
+        atoms = meet_each([[x.eigenprojector_at(a), y.eigenprojector_at(b)]
+                           for a in x.spectrum for b in y.spectrum if abs(a - b) <= width], dim)
         label = "equality projector"
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    bases = [p.basis for p in atoms if p.rank]
+    span = Projector.from_basis(np.hstack(bases) if bases else np.zeros((dim, 0)),
+                                dim=dim, tol=t)
     gap = opnorm(span.matrix - target.matrix)
     if gap > t.assert_tol:
         raise CrossCheckFailure(

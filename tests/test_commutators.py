@@ -87,6 +87,7 @@ def test_com_pair_builds_no_meet(monkeypatch):
 
     monkeypatch.setattr(projectors, "meet", no_meet)
     monkeypatch.setattr(projectors, "meet_all", no_meet)
+    monkeypatch.setattr(projectors, "meet_each", no_meet)
     monkeypatch.setattr(commutators, "meet_all", no_meet)
     p, q = block_pair()
     assert opnorm(com_pair(p, q).matrix - SECOND_BLOCK) < 1e-8

@@ -297,23 +297,19 @@ _QUBIT_EFFECTS = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     ("svd", lambda: kernel_basis(np.eye(3))),
     ("svd", lambda: range_basis(np.ones((3, 2)))),
     ("svd", lambda: opnorms(np.ones((2, 3, 3)))),
+    ("svd", lambda: opnorm(np.eye(3))),
     ("eigh", lambda: hermitian_eig(np.diag([1.0, 2.0]))),
     ("eigh", lambda: POVM([0.0, 1.0], _QUBIT_EFFECTS)),
     ("eigh", lambda: Projector.from_matrix(np.diag([1.0, 0.0]))),
     ("eigh", lambda: random_povm(2, 2, rng_from_seed(1))),
     ("svd", lambda: naimark_process(POVM([0.0, 1.0], _QUBIT_EFFECTS))),
 ], ids=["solution_basis", "solution_bases", "kernel_basis", "range_basis", "opnorms",
-        "hermitian_eig", "POVM", "Projector.from_matrix", "random_povm", "naimark_process"])
+        "opnorm", "hermitian_eig", "POVM", "Projector.from_matrix", "random_povm",
+        "naimark_process"])
 def test_svd_non_convergence_raises_a_typed_error(monkeypatch, routine, call):
     monkeypatch.setattr(np.linalg, routine, _no_convergence)
     with pytest.raises(FactorizationError, match="did not converge"):
         call()
-
-
-def test_opnorm_non_convergence_raises_a_typed_error(monkeypatch):
-    monkeypatch.setattr(np.linalg, "norm", _no_convergence)
-    with pytest.raises(FactorizationError, match="did not converge"):
-        opnorm(np.eye(3))
 
 
 def test_central_eigh_non_convergence_raises_a_typed_error(monkeypatch):

@@ -16,12 +16,13 @@ from qlogic import states
 from qlogic.algebras import algebra_from_generators
 from qlogic.errors import (
     DimensionMismatchError,
+    FamilyTooLargeError,
     NotCommutingError,
     QLogicError,
 )
 from qlogic.linalg import opnorm
 from qlogic.observables import embed_first, embed_second, spectral_decompose
-from qlogic.projectors import Projector, meet_all
+from qlogic.projectors import Projector, meet, meet_all
 from qlogic.propositions import ObservableRegistry, parse
 from qlogic.sampling import (
     random_agreeing_pair,
@@ -376,21 +377,29 @@ def _grid_measure_by_meet_all(xs, state, t):
     return masses, worst, worst <= t.assert_tol
 
 
+_FAMILY_KINDS = ["commuting", "determinate-block", "generic", "agreeing"]
+
+
+def _sampled_family(kind, dim, count, rng):
+    """Observables of one kind and a state; below d = 4 the determinate-block
+    and agreeing kinds fall back to generic."""
+    if kind == "commuting":
+        return random_commuting_observables(dim, count, rng), random_density(dim, rng)
+    if kind == "determinate-block" and dim >= 4:
+        return random_determinate_family(dim, max(count, 2), rng)
+    if kind == "agreeing" and dim >= 4:
+        x, y, state = random_agreeing_pair(dim, rng)
+        return [x, y], state
+    return [random_observable(f"X{i}", dim, rng) for i in range(count)], random_density(dim, rng)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000),
        dim=st.integers(min_value=1, max_value=7),
        count=st.integers(min_value=1, max_value=3),
-       kind=st.sampled_from(["commuting", "block", "generic"]))
+       kind=st.sampled_from(_FAMILY_KINDS))
 def test_grid_measure_matches_per_meet_loop_bitwise(seed, dim, count, kind):
-    rng = rng_from_seed(seed)
-    if kind == "commuting":
-        xs = random_commuting_observables(dim, count, rng)
-        state = random_density(dim, rng)
-    elif kind == "block" and dim >= 4:
-        xs, state = random_determinate_family(dim, max(count, 2), rng)
-    else:
-        xs = [random_observable(f"X{i}", dim, rng) for i in range(count)]
-        state = random_density(dim, rng)
+    xs, state = _sampled_family(kind, dim, count, rng_from_seed(seed))
     masses, worst, ok = states._grid_measure(xs, state, DEFAULT_TOL)
     expected_masses, expected_worst, expected_ok = _grid_measure_by_meet_all(xs, state, DEFAULT_TOL)
     assert list(masses) == list(expected_masses)
@@ -526,6 +535,47 @@ def test_common_eigenvectors_equal_mode_arity():
     a = diag_obs("A", 0.0, 1.0, 2.0)
     with pytest.raises(DimensionMismatchError):
         common_eigenvector_projector([a], mode="equal")
+
+
+@pytest.mark.parametrize("mode", ["determinate", "equal"])
+def test_common_eigenvectors_of_an_empty_or_mixed_family_raise_typed_errors(mode):
+    with pytest.raises(FamilyTooLargeError):
+        common_eigenvector_projector([], mode)
+    with pytest.raises(DimensionMismatchError):
+        common_eigenvector_projector([diag_obs("A", 0.0, 1.0), diag_obs("B", 0.0, 1.0, 2.0)],
+                                     mode)
+
+
+def _common_eigenvector_span_by_meets(xs, mode):
+    """The per-atom ``meet_all`` and ``meet`` loops whose meets
+    ``common_eigenvector_projector`` takes in one batched call, kept as its
+    oracle."""
+    dim = xs[0].dim
+    if mode == "determinate":
+        grid = itertools.product(*([x.eigenprojector_at(v) for v in x.spectrum] for x in xs))
+        meets = [meet_all(list(parts), dim=dim) for parts in grid]
+    else:
+        x, y = xs
+        width = max(x.snap_width, y.snap_width)
+        meets = [meet(x.eigenprojector_at(a), y.eigenprojector_at(b))
+                 for a in x.spectrum for b in y.spectrum if abs(a - b) <= width]
+    bases = [p.basis for p in meets if p.rank]
+    return Projector.from_basis(np.hstack(bases) if bases else np.zeros((dim, 0)),
+                                dim=dim, tol=xs[0].tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=1, max_value=6),
+       count=st.integers(min_value=1, max_value=3),
+       kind=st.sampled_from(_FAMILY_KINDS))
+def test_common_eigenvectors_match_the_per_atom_loops_bitwise(seed, dim, count, kind):
+    xs, _ = _sampled_family(kind, dim, count, rng_from_seed(seed))
+    for family, mode in ((xs, "determinate"), ((xs + xs)[:2], "equal")):
+        span = common_eigenvector_projector(family, mode)
+        expected = _common_eigenvector_span_by_meets(family, mode)
+        assert np.array_equal(span.basis, expected.basis)
+        assert np.array_equal(span.matrix, expected.matrix)
 
 
 # ---------------------------------------------------------------------------
