@@ -7,8 +7,11 @@ Independent routes to the same object:
 * ``com_pair``: for two projectors, the kernel of [P, Q], which by Halmos'
   two-subspace theorem (Trans. AMS 144 (1969) 381-389) is the part of the
   space where P and Q commute; it builds no meet;
-* ``com_kernel``: the joint kernel of the triple products [P1, P2] P3,
-  which is linear-algebraic rather than lattice-built;
+* ``com_kernel``: the joint kernel of the triple products [P_i, P_j] P_k,
+  which is linear-algebraic rather than lattice-built.  It is solved in two
+  stacked stages: K0 = the joint kernel of the pairwise [P_i, P_j], then the
+  joint kernel of the (1 - Pi_K0) P_k, since [P_i, P_j] P_k psi = 0 for every
+  i < j exactly when P_k psi lies in K0;
 * ``com_observables``: the spectral-family kernel route for observables,
   cross-checked by the raw matrices alone: com is the largest subspace of
   the joint kernel K0 of the pairwise [X_i, X_j] that every Hermitian X_i
@@ -78,20 +81,32 @@ def _members(family: Sequence) -> list:
 
 
 def com_kernel(family: Sequence[Projector]) -> Projector:
-    """Commutator as the joint kernel of the triple products [P1, P2] P3.
+    """Commutator as the joint kernel of the triple products [P_i, P_j] P_k.
 
-    One constraint block per unordered pair and trailing member; the blocks
-    are stacked rather than summed as squares so the kernel pins every
-    [P_i, P_j] P_k psi down at working precision.
+    Solved in two stages, each a stacked kernel solve (not a sum of squares,
+    so every residual stays linear in psi):
+
+    1. K0, the joint kernel of the pairwise [P_i, P_j] over i < j:
+       N(N-1)/2 * d rows for N members on C^d;
+    2. the joint kernel of the (1 - Pi_K0) P_k over k: N * d rows.
+
+    Together they give the triple-product kernel, because [P_i, P_j] P_k psi
+    = 0 for every i < j exactly when P_k psi lies in K0.  Stacking the triple
+    products themselves takes ~N^3 d / 2 rows: for the 2d thresholds of two
+    observables, 4 d^4 rows and O(d^6) flops, against O(d^5) here.
     """
     members = _members(family)
-    dim = members[0].dim
+    dim, tol = members[0].dim, members[0].tol
     cube = np.stack([p.matrix for p in members])
-    # Row i stacks [P_i, P_j] P_k over j > i, then k: the pair-major order of
-    # the constraint blocks.
-    blocks = [(commutator(cube[i], cube[i + 1:])[:, None] @ cube).reshape(-1, dim)
-              for i in range(len(cube) - 1)]
-    return common_null_space_projector(blocks, dim, members[0].tol)
+    pairwise = common_null_space_projector(_pairwise_commutators(cube, dim), dim, tol).basis
+    leak = (cube - pairwise @ (dagger(pairwise) @ cube)).reshape(-1, dim)
+    return common_null_space_projector([leak], dim, tol)
+
+
+def _pairwise_commutators(stack: np.ndarray, dim: int) -> list[np.ndarray]:
+    """The blocks [A_i, A_j] over j > i, one stacked block of rows per i."""
+    return [commutator(stack[i], stack[i + 1:]).reshape(-1, dim)
+            for i in range(len(stack) - 1)]
 
 
 def threshold_family(observables: Sequence[Observable]) -> list[Projector]:
@@ -102,10 +117,10 @@ def threshold_family(observables: Sequence[Observable]) -> list[Projector]:
 def com_observables(observables: Sequence[Observable]) -> Projector:
     """Commutator of finitely many observables.
 
-    Production route: the triple-product kernel over the cumulative spectral
-    projectors.  Cross-check route: ``_invariant_route`` of the raw matrices,
-    which reads no spectral projector.  Disagreement raises CrossCheckFailure
-    since both characterize the same projection.
+    Production route: ``com_kernel`` over the cumulative spectral projectors.
+    Cross-check route: ``_invariant_route`` of the raw matrices, which reads no
+    spectral projector.  Disagreement raises CrossCheckFailure since both
+    characterize the same projection.
     """
     xs = _members(observables)
     tol = xs[0].tol
@@ -122,9 +137,7 @@ def _invariant_route(matrices: Sequence[np.ndarray], dim: int, tol: ToleranceCon
     """Wonham's recursion of the module docstring over the unit-norm X_i: each
     step solves (1 - Q Q^dag) X_i Q c = 0 for K's orthonormal basis Q."""
     letters = unit_norm_stack(matrices, dim)
-    pairs = [commutator(letters[i], letters[i + 1:]).reshape(-1, dim)
-             for i in range(len(letters) - 1)]
-    basis = common_null_space_projector(pairs, dim, tol).basis
+    basis = common_null_space_projector(_pairwise_commutators(letters, dim), dim, tol).basis
     while basis.shape[1]:
         moved = letters @ basis
         leak = (moved - basis @ (dagger(basis) @ moved)).reshape(-1, basis.shape[1])

@@ -1,6 +1,10 @@
 """Shared fixtures: deterministic generators, standard matrices, scenario files."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -27,6 +31,28 @@ def pairs(matrix):
 def vector_pairs(vector):
     return [[float(entry.real), float(entry.imag)]
             for entry in np.asarray(vector, dtype=complex)]
+
+
+# Children that run under a 1 GiB address-space limit they set on themselves
+# and print a verdict, then their CPU seconds (single-threaded BLAS).
+_ONE_GIB = textwrap.dedent("""
+    import resource
+    import time
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+    from qlogic.sampling import random_density, random_observable, rng_from_seed
+""")
+
+
+def _run_under_one_gib(source):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", source], capture_output=True,
+                            text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    verdict, seconds = result.stdout.splitlines()
+    return verdict, float(seconds)
 
 
 @pytest.fixture

@@ -1,12 +1,14 @@
 """Commutator projections: independent routes, subcommutator role, factorization."""
 
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SIGMA_X, SIGMA_Z
-from qlogic import commutators, projectors
+from conftest import _ONE_GIB, SIGMA_X, SIGMA_Z, _run_under_one_gib
+from qlogic import commutators, linalg, projectors
 from qlogic.algebras import algebra_from_generators
 from qlogic.commutators import (
     boolean_factorization_check,
@@ -23,6 +25,7 @@ from qlogic.observables import spectral_decompose
 from qlogic.projectors import Projector, common_null_space_projector
 from qlogic.sampling import (
     haar_unitary,
+    observable_from_eigenbasis,
     random_block_observables,
     random_commuting_observables,
     random_determinate_family,
@@ -315,6 +318,110 @@ def test_invariant_route_matches_the_spectral_and_algebra_routes(seed, dim, coun
     for oracle in (com_kernel(threshold_family(xs)), _algebra_route(gens, dim)):
         assert ours.rank == oracle.rank
         assert opnorm(ours.matrix - oracle.matrix) <= DEFAULT_TOL.assert_tol
+
+
+# ---------------------------------------------------------------------------
+# the two-stage kernel against the stacked triple products
+
+
+def _stacked_com_kernel(family):
+    """Oracle for ``com_kernel``: the joint kernel of every [P_i, P_j] P_k,
+    i < j, stacked in one system of N^2 (N-1) d / 2 rows."""
+    cube = np.stack([p.matrix for p in family])
+    dim = cube.shape[1]
+    blocks = [(commutator(cube[i], cube[i + 1:])[:, None] @ cube).reshape(-1, dim)
+              for i in range(len(cube) - 1)]
+    return common_null_space_projector(blocks, dim, family[0].tol)
+
+
+def _simple_spectrum_pair(dim, rng):
+    return [observable_from_eigenbasis(name, haar_unitary(dim, rng), range(dim), [1] * dim)
+            for name in "XY"]
+
+
+def _sector_family(dim, count, rng):
+    """Coordinate projectors on a sector of dim // 3 coordinates plus Haar
+    subspaces of its complement, as in lattice-eval's ``_com_family_op``
+    (perfbench/workloads.py)."""
+    sector = dim // 3
+    frame = haar_unitary(dim, rng)
+    family = []
+    for _ in range(count):
+        rank = int(rng.integers(1, dim - sector))
+        chosen = frame[:, :sector][:, rng.random(sector) < 0.5]
+        generic = frame[:, sector:] @ haar_unitary(dim - sector, rng)[:, :rank]
+        family.append(Projector(np.hstack([chosen, generic]), dim=dim))
+    return family
+
+
+def _kernel_family(kind, dim, count, rng):
+    if kind == "sector":
+        return _sector_family(dim, max(count, 2), rng)
+    if kind == "split":
+        # Two eigenvalues of X split by 1e-5 to 1e-8, against a generic Y.
+        split = 10.0 ** -int(rng.integers(5, 9))
+        low = dim // 2
+        u = haar_unitary(dim, rng)
+        x = u @ np.diag([1.0] * low + [1.0 + split] * (dim - low)) @ u.conj().T
+        xs = [spectral_decompose("X", x), random_observable("Y", dim, rng)]
+    elif kind == "simple":
+        xs = _simple_spectrum_pair(dim, rng)
+    else:
+        xs = _observable_family(kind, max(dim, 4) if kind == "determinate-block" else dim,
+                                count, rng)
+    return threshold_family(xs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=2, max_value=8),
+       count=st.integers(min_value=1, max_value=3),
+       kind=st.sampled_from(["generic", "simple", "commuting", "block", "determinate-block",
+                             "split", "sector"]))
+def test_com_kernel_matches_the_stacked_triple_products(seed, dim, count, kind):
+    family = _kernel_family(kind, dim, count, rng_from_seed(seed))
+    ours, oracle = com_kernel(family), _stacked_com_kernel(family)
+    assert ours.rank == oracle.rank
+    assert opnorm(ours.matrix - oracle.matrix) <= DEFAULT_TOL.assert_tol
+
+
+def test_com_kernel_systems_stay_within_the_pairwise_rows(monkeypatch):
+    # Stacking the triple products of these 12 thresholds takes 4752 rows;
+    # neither stage may exceed the 396 rows of the pairwise commutators.
+    family = threshold_family(_simple_spectrum_pair(6, rng_from_seed(6)))
+    shapes = []
+    solve = linalg.solution_bases
+
+    def recording(systems, unknowns, tol=DEFAULT_TOL):
+        shapes.append(np.shape(systems))
+        return solve(systems, unknowns, tol)
+
+    monkeypatch.setattr(linalg, "solution_bases", recording)
+    assert com_kernel(family).rank == 0
+    count, dim = len(family), family[0].dim
+    assert max(rows for _, rows, _ in shapes) <= count * (count - 1) // 2 * dim
+    assert len(shapes) == 2
+
+
+# A generic pair with simple spectra at d = 32 has 64 thresholds.  Their
+# stacked triple products are one 4.1M x 32 system (1.97 GiB), which raises
+# MemoryError under the limit; the two stages solve 64512 and 2048 rows.
+_D32_CHILD = _ONE_GIB + textwrap.dedent("""
+    from qlogic.commutators import com_observables
+    from qlogic.sampling import haar_unitary, observable_from_eigenbasis
+    rng = rng_from_seed(32)
+    xs = [observable_from_eigenbasis(name, haar_unitary(32, rng), range(32), [1] * 32)
+          for name in "XY"]
+    start = time.process_time()
+    print("rank", com_observables(xs).rank)
+    print(time.process_time() - start)
+""")
+
+
+def test_d32_generic_pair_com_fits_in_one_gib():
+    verdict, seconds = _run_under_one_gib(_D32_CHILD)
+    assert verdict == "rank 0"
+    assert seconds < 3.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,6 @@
 """States, Born probabilities, determinateness, and quantum equality."""
 
 import itertools
-import os
-import subprocess
-import sys
 import textwrap
 
 import numpy as np
@@ -11,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SIGMA_X, SIGMA_Z
+from conftest import _ONE_GIB, SIGMA_X, SIGMA_Z, _run_under_one_gib
 from qlogic import states
 from qlogic.algebras import algebra_from_generators
 from qlogic.errors import (
@@ -581,16 +578,6 @@ def test_common_eigenvectors_match_the_per_atom_loops_bitwise(seed, dim, count, 
 # ---------------------------------------------------------------------------
 # the d^4 memory wall
 
-# Children that run under a 1 GiB address-space limit they set on themselves
-# and print a verdict, then their CPU seconds (single-threaded BLAS).
-_ONE_GIB = textwrap.dedent("""
-    import resource
-    import time
-    _, hard = resource.getrlimit(resource.RLIMIT_AS)
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
-    from qlogic.sampling import random_density, random_observable, rng_from_seed
-""")
-
 # A d = 16 generic pair.  A double-commutant build solves a 2 d^4-row system
 # for it, needs ~2.1 GB and raises MemoryError already at 1.5 GB; the words
 # and the one (4 d^2)-row commutant solve fit, in 0.7-1.0 s on a 2-vCPU VM.
@@ -615,17 +602,6 @@ _DEGENERATE_CHILD = _ONE_GIB + textwrap.dedent("""
     print("size", algebra_from_generators([x.matrix for x in xs], 20).size)
     print(time.process_time() - start)
 """)
-
-
-def _run_under_one_gib(source):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", source], capture_output=True,
-                            text=True, env=env, timeout=120)
-    assert result.returncode == 0, result.stderr[-2000:]
-    verdict, seconds = result.stdout.splitlines()
-    return verdict, float(seconds)
 
 
 def test_d16_generic_pair_battery_fits_in_one_gib():
