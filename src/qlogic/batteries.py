@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .commutators import com_family, com_kernel, com_observables, com_pair
+from .commutators import com_family, com_kernel, com_pair, threshold_family
 from .errors import FamilyTooLargeError, QLogicError, UnknownNameError
 from .linalg import opnorm
 from .measurement import (
@@ -395,7 +395,7 @@ def _suite_com_expansion(rng: np.random.Generator, tol: ToleranceConfig) -> list
                 raise FamilyTooLargeError(f"atom grid {grid} exceeds 4096")
             biggest_grid = max(biggest_grid, grid)
             span = common_eigenvector_projector(xs, "determinate")
-            expansion.see(_gap(span, com_observables(xs)))
+            expansion.see(_gap(span, com_kernel(threshold_family(xs))))
     return [
         expansion.residual_line("join-of-meets expansion equals the commutator on 50 families",
                                 tol.assert_tol, "max gap",
@@ -577,7 +577,7 @@ def _suite_common_eigenvectors(rng: np.random.Generator,
         xs = _mixed_observable_family(dim, count, i % 3, rng, tol)
         with determinate.attempt(i):
             span = common_eigenvector_projector(xs, "determinate")
-            determinate.see(_gap(span, com_observables(xs)))
+            determinate.see(_gap(span, com_kernel(threshold_family(xs))))
 
     equal = _Tally()
     for i in range(100):

@@ -12,12 +12,16 @@ Independent routes to the same object:
   stacked stages: K0 = the joint kernel of the pairwise [P_i, P_j], then the
   joint kernel of the (1 - Pi_K0) P_k, since [P_i, P_j] P_k psi = 0 for every
   i < j exactly when P_k psi lies in K0;
-* ``com_observables``: the spectral-family kernel route for observables,
-  cross-checked by the raw matrices alone: com is the largest subspace of
-  the joint kernel K0 of the pairwise [X_i, X_j] that every Hermitian X_i
-  leaves invariant (Shemesh, Linear Algebra Appl. 62 (1984) 11-18), reached
-  from K0 by Wonham's recursion K <- {v in K : (1 - Pi_K) X_i v = 0} (Linear
-  Multivariable Control, 3rd ed. 1985); no algebra is built.
+* ``com_observables``: for observables, the join of the nonzero joint
+  spectral atoms E_1(v_1) ^ ... ^ E_n(v_n), each solved on its own basis
+  (``observables.joint_atoms``), cross-checked by the raw matrices alone:
+  com is the largest subspace of the joint kernel K0 of the pairwise
+  [X_i, X_j] that every Hermitian X_i leaves invariant (Shemesh, Linear
+  Algebra Appl. 62 (1984) 11-18), reached from K0 by Wonham's recursion
+  K <- {v in K : (1 - Pi_K) X_i v = 0} (Linear Multivariable Control, 3rd
+  ed. 1985); no algebra is built.  ``com_kernel`` of the observables'
+  cumulative spectral projectors is a third route, which
+  ``states.common_eigenvector_projector`` compares with the atoms.
 
 The engine never collapses routes into each other: route agreement is the
 load-bearing correctness signal.  Each function judges at the tolerance of its
@@ -35,7 +39,7 @@ import numpy as np
 from .algebras import MatrixAlgebra, contains, letter_commutator_norm, minimal_central_projections
 from .errors import CrossCheckFailure, DimensionMismatchError, FamilyTooLargeError
 from .linalg import commutator, dagger, opnorm, solution_basis, unit_norm_stack
-from .observables import Observable
+from .observables import Observable, joint_atoms
 from .projectors import Projector, common_null_space_projector, join_all, leq, meet_all, ortho
 from .tolerances import ToleranceConfig
 
@@ -117,20 +121,28 @@ def threshold_family(observables: Sequence[Observable]) -> list[Projector]:
 def com_observables(observables: Sequence[Observable]) -> Projector:
     """Commutator of finitely many observables.
 
-    Production route: ``com_kernel`` over the cumulative spectral projectors.
-    Cross-check route: ``_invariant_route`` of the raw matrices, which reads no
-    spectral projector.  Disagreement raises CrossCheckFailure since both
-    characterize the same projection.
+    Production route: the join of the nonzero joint spectral atoms, the span
+    of the family's common eigenvectors.  Cross-check route:
+    ``_invariant_route`` of the raw matrices, which reads no spectral
+    projector.  Disagreement raises CrossCheckFailure since both characterize
+    the same projection.
     """
     xs = _members(observables)
     tol = xs[0].tol
-    spectral_route = com_kernel(threshold_family(xs))
+    spectral_route = _atom_route(xs)
     invariant_route = _invariant_route([x.matrix for x in xs], xs[0].dim, tol)
     gap = opnorm(spectral_route.matrix - invariant_route.matrix)
     if gap > tol.assert_tol:
         raise CrossCheckFailure(
             f"commutator routes disagree by {gap:.3e} on {[x.name for x in xs]}")
     return spectral_route
+
+
+def _atom_route(xs: Sequence[Observable]) -> Projector:
+    """The span of the nonzero joint spectral atoms of a family of one dimension."""
+    dim = xs[0].dim
+    atoms = joint_atoms(xs, dim).values()
+    return Projector.from_basis(np.hstack([np.zeros((dim, 0)), *atoms]), dim=dim, tol=xs[0].tol)
 
 
 def _invariant_route(matrices: Sequence[np.ndarray], dim: int, tol: ToleranceConfig) -> Projector:

@@ -4,10 +4,14 @@ An observable is a Hermitian matrix together with its resolved spectral data:
 strictly ascending distinct eigenvalues and one projector per spectral point.
 Interval descriptors give the Borel-set face of the spectral measure; all
 real-literal comparisons snap onto the spectrum at the clustering tolerance.
+Meets of a subspace with an observable's spectral projections are solved on
+the subspace's own orthonormal basis (``eigenspace_meets``), and the joint
+spectral atoms of a family are built from them (``joint_atoms``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
@@ -20,7 +24,7 @@ from .errors import (
     QLogicError,
     UndefinedAtSpectralPointError,
 )
-from .linalg import dagger, hermitian_eig, kron, matrices_commute, opnorm
+from .linalg import dagger, hermitian_eig, kron, matrices_commute, opnorm, solution_bases
 from .projectors import Projector
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -211,13 +215,22 @@ class Observable:
             return Projector.zero(self.dim, self.tol)
         return Projector(np.hstack([p.basis for p in members]), dim=self.dim, tol=self.tol)
 
+    def spectral_index(self, value: float) -> int | None:
+        """Index of the first spectral point within snap width of ``value``."""
+        atol = self.snap_width
+        for k, v in enumerate(self.spectrum):
+            if abs(v - value) <= atol:
+                return k
+        return None
+
     def eigenprojector_at(self, value: float) -> Projector:
         """Projector of the spectral point nearest ``value`` within snap width."""
-        atol = self.snap_width
-        for v, p in zip(self.spectrum, self.eigenprojectors):
-            if abs(v - value) <= atol:
-                return p
-        return Projector.zero(self.dim, self.tol)
+        k = self.spectral_index(value)
+        return Projector.zero(self.dim, self.tol) if k is None else self.eigenprojectors[k]
+
+    def eigenbasis(self) -> np.ndarray:
+        """The eigenprojectors' range bases side by side, in spectral order."""
+        return np.hstack([p.basis for p in self.eigenprojectors])
 
     def delta(self) -> float:
         """Half the smallest spectral gap, capped at one; one for singletons."""
@@ -253,6 +266,81 @@ def _lookup(mapping: Mapping[float, float], value: float, atol: float) -> float:
         if abs(k - value) <= atol:
             return fv
     raise KeyError(value)
+
+
+# Entries per stacked solve in ``eigenspace_meets``: a generic pair at d = 128
+# makes d^2 systems of d x 1, which are solved in chunks of this size.
+_MEET_CHUNK = 1 << 20
+
+
+def eigenspace_meets(bases: Sequence[np.ndarray], x: Observable,
+                     targets: Sequence[tuple[int, Sequence[int]]],
+                     tol: ToleranceConfig) -> list[np.ndarray]:
+    """Orthonormal basis of range(B_i) ^ E_X(S) for each (i, S) in ``targets``,
+    where B_i = ``bases[i]`` has orthonormal columns and S holds indices into
+    X's spectrum.
+
+    Each meet is solved on B_i's own basis: B_i c lies in E_X(S) exactly when
+    (1 - E_X(S)) B_i c = 0, which in X's eigencoordinates U^dag is the rows of
+    U^dag B_i outside the blocks of S.  Those rows are zeroed rather than
+    deleted, so every system with the same column count has one shape and the
+    systems are solved in one ``solution_bases`` call per column count; the
+    singular values of a system are the sines of the principal angles between
+    range(B_i) and E_X(S) (Bjorck & Golub, Math. Comp. 27 (1973) 579-594).
+    One product U^dag [B_1 ... B_k] gives every system.
+    """
+    dim = x.dim
+    for b in bases:
+        if b.shape[0] != dim:
+            raise DimensionMismatchError(f"basis in dimension {b.shape[0]}, expected {dim}")
+    rows = list(itertools.accumulate((p.rank for p in x.eigenprojectors), initial=0))
+    columns = list(itertools.accumulate((b.shape[1] for b in bases), initial=0))
+    coords = dagger(x.eigenbasis()) @ np.hstack([*bases, np.zeros((dim, 0))])
+    groups: dict[int, list[int]] = {}
+    for k, (i, _) in enumerate(targets):
+        if columns[i + 1] > columns[i]:
+            groups.setdefault(columns[i + 1] - columns[i], []).append(k)
+    meets = [np.zeros((dim, 0), dtype=complex)] * len(targets)
+    for width, members in groups.items():
+        step = max(1, _MEET_CHUNK // (dim * width))
+        for lo in range(0, len(members), step):
+            chunk = members[lo:lo + step]
+            systems = np.empty((len(chunk), dim, width), dtype=complex)
+            for system, k in zip(systems, chunk):
+                i, blocks = targets[k]
+                system[:] = coords[:, columns[i]:columns[i + 1]]
+                for a in blocks:
+                    system[rows[a]:rows[a + 1]] = 0.0
+            for k, kept in zip(chunk, solution_bases(systems, width, tol)):
+                if kept.shape[1]:
+                    meets[k] = bases[targets[k][0]] @ kept
+    return meets
+
+
+def joint_atoms(observables: Sequence[Observable], dim: int) -> dict[tuple[int, ...], np.ndarray]:
+    """The nonzero joint spectral atoms E_1(v_1) ^ ... ^ E_n(v_n) of a family,
+    as orthonormal bases keyed by spectral index tuples in ``itertools.product``
+    order; the empty family has the one atom 1.
+
+    The atoms of the first k members are met with the next member's
+    eigenprojectors by ``eigenspace_meets``.  Nonzero atoms are orthogonal, so
+    each step meets at most d of them, and the family judges at the tolerance
+    of its first member.
+    """
+    xs = list(observables)
+    for x in xs:
+        if x.dim != dim:
+            raise DimensionMismatchError(f"{x.name} lives in dimension {x.dim}, expected {dim}")
+    if not xs:
+        return {(): np.eye(dim, dtype=complex)}
+    atoms = {(a,): p.basis for a, p in enumerate(xs[0].eigenprojectors) if p.rank}
+    for x in xs[1:]:
+        keys = list(atoms)
+        targets = [(i, (b,)) for i in range(len(keys)) for b in range(len(x.spectrum))]
+        meets = eigenspace_meets(list(atoms.values()), x, targets, xs[0].tol)
+        atoms = {keys[i] + blocks: basis for (i, blocks), basis in zip(targets, meets)
+                 if basis.shape[1]}
+    return atoms
 
 
 def spectral_decompose(name: str, matrix, tol: ToleranceConfig = DEFAULT_TOL) -> Observable:

@@ -23,7 +23,6 @@ from .linalg import (
     opnorm,
     range_basis,
     require_square,
-    solution_bases,
     solution_basis,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -154,30 +153,6 @@ def meet_all(projectors: Sequence[Projector], dim: int | None = None) -> Project
     eye = np.eye(d, dtype=complex)
     return common_null_space_projector([eye - p.matrix for p in projectors], d,
                                        projectors[0].tol)
-
-
-def meet_each(families: Sequence[Sequence[Projector]], dim: int) -> list[Projector]:
-    """``meet_all`` of each family in a list of families of one size.
-
-    The families' kernel systems are stacked and factored in one
-    ``solution_bases`` call.  ``meet_all`` solves through ``solution_basis``,
-    the same kernel on a stack of one, so each meet has the bits ``meet_all``
-    gives it by construction.
-    """
-    families = [list(family) for family in families]
-    sizes = {len(family) for family in families}
-    if len(sizes) > 1:
-        raise DimensionMismatchError("batched meets need families of one size")
-    dims = {p.dim for family in families for p in family}
-    if dims - {dim}:
-        raise DimensionMismatchError(f"projectors on dims {sorted(dims)}, expected {dim}")
-    eye = np.eye(dim, dtype=complex)
-    rows = sizes.pop() * dim if sizes else 0
-    systems = np.array([[eye - p.matrix for p in family] for family in families],
-                       dtype=complex).reshape(len(families), rows, dim)
-    tol = families[0][0].tol if rows else DEFAULT_TOL
-    return [Projector(basis, dim=dim, tol=tol)
-            for basis in solution_bases(systems, dim, tol)]
 
 
 def ortho(p: Projector) -> Projector:

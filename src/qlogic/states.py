@@ -8,7 +8,10 @@ package (the measurement batteries use it too).  The clauses must agree;
 disagreement beyond tolerance is a kernel bug, not a property of the input,
 and ``ClauseReport.checked`` raises InconsistentBattery for it.  A function
 of a state judges at the state's tolerance; one of observables alone judges at
-the tolerance of its first observable.
+the tolerance of its first observable.  Spectral atoms, the equality
+projector's crossing route and the cross correlations are read on the
+observables' own eigenbases (``observables.eigenspace_meets``), never as
+products of full d x d projector matrices.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebras import algebra_from_generators, letter_commutator_norm
-from .commutators import com_observables
+from .commutators import com_kernel, com_observables, threshold_family
 from .errors import (
     CrossCheckFailure,
     DimensionMismatchError,
@@ -41,14 +44,8 @@ from .linalg import (
     require_square,
     unit_norm_stack,
 )
-from .observables import Observable
-from .projectors import (
-    Projector,
-    common_null_space_projector,
-    leq,
-    meet,
-    meet_each,
-)
+from .observables import Observable, eigenspace_meets, joint_atoms
+from .projectors import Projector, common_null_space_projector, leq, meet
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -122,16 +119,18 @@ class DensityState:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """A probability assignment on tuples of spectral values."""
+    """A probability assignment on tuples of spectral values, checked at the
+    tolerance it carries (the state's, when a battery builds it)."""
 
     axes: tuple[str, ...]
     atoms: dict[tuple[float, ...], float] = field(compare=False)
+    tol: ToleranceConfig = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self):
-        bad = [v for v in self.atoms.values() if v < -DEFAULT_TOL.assert_tol]
+        bad = [v for v in self.atoms.values() if v < -self.tol.assert_tol]
         if bad:
             raise QLogicError(f"negative joint mass {min(bad):.3e}")
-        if abs(self.total_mass - 1.0) > DEFAULT_TOL.assert_tol:
+        if abs(self.total_mass - 1.0) > self.tol.assert_tol:
             raise QLogicError(f"joint mass {self.total_mass} is not one")
 
     @property
@@ -326,16 +325,13 @@ def determinateness_battery(observables: Sequence[Observable],
     distribution = None
     if all(clauses.values()):
         distribution = JointDistribution(tuple(x.name for x in xs),
-                                         {k: max(0.0, v) for k, v in masses.items()})
+                                         {k: max(0.0, v) for k, v in masses.items()}, t)
     return ClauseReport.checked("determinateness", clauses, residuals, com, distribution)
 
 
-def _joint_atoms(xs: Sequence[Observable], dim: int) -> list[Projector]:
-    """The joint spectral atoms E_1(v_1) ^ ... ^ E_n(v_n) of a family, over its
-    spectral grid in ``itertools.product`` order, factored in one ``meet_each``
-    call."""
-    grid = itertools.product(*([x.eigenprojector_at(v) for v in x.spectrum] for x in xs))
-    return meet_each(list(grid), dim)
+def _mass(basis: np.ndarray, state: DensityState) -> float:
+    """Tr[B^dag rho B]: the state's mass on the range of orthonormal columns B."""
+    return float(np.real(np.vdot(basis, state.matrix @ basis)))
 
 
 def _grid_measure(xs: list[Observable], state: DensityState,
@@ -344,13 +340,14 @@ def _grid_measure(xs: list[Observable], state: DensityState,
 
     Summing one axis out of the grid must give the mass of the meet over the
     remaining atoms.  Each grid (the full one, then one per summed-out axis)
-    is one ``_joint_atoms`` call.
+    is one ``joint_atoms`` call; a zero atom has mass zero.
     """
     shape = tuple(len(x.spectrum) for x in xs)
 
     def grid_masses(family: list[Observable]) -> np.ndarray:
-        return np.array([float(np.real(np.trace(p.matrix @ state.matrix)))
-                         for p in _joint_atoms(family, state.dim)])
+        atoms = joint_atoms(family, state.dim)
+        grid = itertools.product(*(range(len(x.spectrum)) for x in family))
+        return np.array([_mass(atoms[k], state) if k in atoms else 0.0 for k in grid])
 
     grid = grid_masses(xs)
     masses = {tuple(x.spectrum[k] for x, k in zip(xs, combo)): float(value)
@@ -389,7 +386,8 @@ def equality_projector(x: Observable, y: Observable) -> Projector:
 
     Production route: joint kernel of E_X(lambda) - E_Y(lambda) over the
     merged spectrum.  Independent route: joint kernel of the disjoint-atom
-    cross terms E_X({a}) E_Y({b}), a != b; the two must agree.
+    cross terms E_X({a}) E_Y({b}), a != b, solved on Y's eigenbasis
+    (``_crossing_route``); the two must agree.
 
     The result is bitwise symmetric in X and Y: the operands are put in a
     canonical order first, because the swapped call would solve the negated
@@ -397,23 +395,62 @@ def equality_projector(x: Observable, y: Observable) -> Projector:
     bit-identically.
     """
     t = x.tol
-    if x.dim != y.dim:
-        raise DimensionMismatchError(f"{x.name} and {y.name} live on different spaces")
-    if (y.matrix.tobytes(), y.spectrum) < (x.matrix.tobytes(), x.spectrum):
-        x, y = y, x
+    x, y = _canonical_pair(x, y)
     dim = x.dim
     cuts = merged_values(x.spectrum, y.spectrum, max(x.snap_width, y.snap_width))
     differences = [x.threshold(cut).matrix - y.threshold(cut).matrix for cut in cuts]
     by_thresholds = common_null_space_projector(differences, dim, t)
-    width = max(x.snap_width, y.snap_width)
-    crossings = [x.eigenprojector_at(a).matrix @ y.eigenprojector_at(b).matrix
-                 for a in x.spectrum for b in y.spectrum if abs(a - b) > width]
-    by_atoms = common_null_space_projector(crossings, dim, t)
+    by_atoms = _crossing_route(x, y, t)
     gap = opnorm(by_thresholds.matrix - by_atoms.matrix)
     if gap > t.assert_tol:
         raise CrossCheckFailure(
             f"equality projector routes disagree by {gap:.3e} on ({x.name}, {y.name})")
     return by_thresholds
+
+
+def _canonical_pair(x: Observable, y: Observable) -> tuple[Observable, Observable]:
+    """The pair in a canonical order, which ``equality_projector`` solves in;
+    mismatched dimensions raise."""
+    if x.dim != y.dim:
+        raise DimensionMismatchError(f"{x.name} and {y.name} live on different spaces")
+    if (y.matrix.tobytes(), y.spectrum) < (x.matrix.tobytes(), x.spectrum):
+        return y, x
+    return x, y
+
+
+def _crossing_route(x: Observable, y: Observable, t: ToleranceConfig) -> Projector:
+    """The joint kernel of the cross terms E_X(a) E_Y(b) over mismatched a, b.
+
+    E_X(a) E_Y(b) psi = 0 for every a mismatched with b exactly when
+    E_Y(b) psi lies in E_X(S_b), S_b the points of X matched with b; so the
+    kernel is the sum over b of range(E_Y(b)) ^ E_X(S_b), each solved on
+    E_Y(b)'s basis.  The kernels of the stacked cross terms and of these
+    systems have the same singular values, since the bases are isometries.
+    """
+    width = max(x.snap_width, y.snap_width)
+    matched = [[a for a, va in enumerate(x.spectrum) if abs(va - vb) <= width]
+               for vb in y.spectrum]
+    parts = eigenspace_meets([p.basis for p in y.eigenprojectors], x,
+                             list(enumerate(matched)), t)
+    return Projector(np.hstack([np.zeros((x.dim, 0)), *parts]), dim=x.dim, tol=t)
+
+
+def _cross_correlations(x: Observable, y: Observable, state: DensityState) -> np.ndarray:
+    """Tr[E_X(a) E_Y(b) rho] for every pair of spectral indices (a, b).
+
+    Each is Tr[(U_a^dag V_b)(V_b^dag rho U_a)] for the eigenbases U of X and
+    V of Y, so all of them are block sums of the entrywise product of U^dag V
+    with the transpose of V^dag rho U.
+    """
+    u, v = x.eigenbasis(), y.eigenbasis()
+    entries = (dagger(u) @ v) * (dagger(v) @ state.matrix @ u).T
+    return _block_indicator(x) @ entries @ _block_indicator(y).T
+
+
+def _block_indicator(x: Observable) -> np.ndarray:
+    """Rows a, columns the eigencoordinates: 1 where the coordinate is in block a."""
+    block_of = np.repeat(np.arange(len(x.spectrum)), [p.rank for p in x.eigenprojectors])
+    return (np.arange(len(x.spectrum))[:, None] == block_of[None, :]).astype(float)
 
 
 def equal_in_state(x: Observable, y: Observable, state: DensityState) -> bool:
@@ -448,14 +485,8 @@ def equality_battery(x: Observable, y: Observable, state: DensityState) -> Claus
     clauses["full_probability"] = deficit <= t.assert_tol
     residuals["full_probability"] = deficit
 
-    worst = 0.0
-    for a in x.spectrum:
-        for b in y.spectrum:
-            if abs(a - b) <= width:
-                continue
-            value = np.trace(x.eigenprojector_at(a).matrix @ y.eigenprojector_at(b).matrix
-                             @ state.matrix)
-            worst = max(worst, abs(complex(value)))
+    mismatched = np.abs(np.subtract.outer(x.spectrum, y.spectrum)) > width
+    worst = float(np.max(np.abs(_cross_correlations(x, y, state)[mismatched]), initial=0.0))
     clauses["no_cross_correlation"] = worst <= t.assert_tol
     residuals["no_cross_correlation"] = worst
 
@@ -482,10 +513,9 @@ def equality_battery(x: Observable, y: Observable, state: DensityState) -> Claus
     diagonal_mass = 0.0
     determinate = simultaneously_determinate([x, y], state)
     if determinate:
-        diagonal = meet_each([[x.eigenprojector_at(v), y.eigenprojector_at(v)] for v in merged],
-                             state.dim)
-        for p in diagonal:
-            diagonal_mass += float(np.real(np.trace(p.matrix @ state.matrix)))
+        for basis in _matched_meets(x, y, [(x.spectral_index(v), y.spectral_index(v))
+                                           for v in merged]):
+            diagonal_mass += _mass(basis, state)
     clauses["diagonal_concentration"] = determinate and diagonal_mass >= 1.0 - t.assert_tol
     residuals["diagonal_concentration"] = 1.0 - diagonal_mass
 
@@ -523,14 +553,26 @@ def equivalence_relation_check(x: Observable, y: Observable,
     return EquivalenceReport(reflexive, symmetric, transitive)
 
 
+def _matched_meets(x: Observable, y: Observable,
+                   pairs: Sequence[tuple[int | None, int | None]]) -> list[np.ndarray]:
+    """Bases of E_X(a) ^ E_Y(b) for spectral index pairs (a, b), each solved on
+    E_X(a)'s basis; a pair with a missing index is skipped."""
+    pairs = [(a, b) for a, b in pairs if a is not None and b is not None]
+    return eigenspace_meets([x.eigenprojectors[a].basis for a, _ in pairs], y,
+                            [(i, (b,)) for i, (_, b) in enumerate(pairs)], x.tol)
+
+
 def common_eigenvector_projector(observables: Sequence[Observable],
                                  mode: str = "determinate") -> Projector:
     """Span of the relevant common eigenvectors, cross-checked structurally.
 
     ``determinate`` mode spans every joint eigenspace of the family and must
-    reproduce the commutator projection.  ``equal`` mode spans the common
-    eigenspaces with matching eigenvalues of a pair and must reproduce the
-    equality projector.  Each mode takes its meets in one ``meet_each`` call.
+    reproduce the spectral ``com_kernel`` route of the commutator projection
+    (not ``com_observables``, which spans the same atoms).  ``equal`` mode
+    spans the common eigenspaces with matching eigenvalues of a pair, each
+    solved on the first operand's eigenbasis in the canonical order, and must
+    reproduce the equality projector, whose crossing route solves on the
+    second operand's.
     """
     xs = list(observables)
     if not xs:
@@ -538,23 +580,22 @@ def common_eigenvector_projector(observables: Sequence[Observable],
     t = xs[0].tol
     dim = xs[0].dim
     if mode == "determinate":
-        target = com_observables(xs)
-        atoms = _joint_atoms(xs, dim)
+        target = com_kernel(threshold_family(xs))
+        atoms = list(joint_atoms(xs, dim).values())
         label = "commutator projection"
     elif mode == "equal":
         if len(xs) != 2:
             raise DimensionMismatchError("equal mode compares exactly two observables")
-        x, y = xs
-        target = equality_projector(x, y)
+        target = equality_projector(*xs)
+        x, y = _canonical_pair(*xs)
         width = max(x.snap_width, y.snap_width)
-        atoms = meet_each([[x.eigenprojector_at(a), y.eigenprojector_at(b)]
-                           for a in x.spectrum for b in y.spectrum if abs(a - b) <= width], dim)
+        atoms = _matched_meets(x, y, [(a, b) for a, va in enumerate(x.spectrum)
+                                      for b, vb in enumerate(y.spectrum)
+                                      if abs(va - vb) <= width])
         label = "equality projector"
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    bases = [p.basis for p in atoms if p.rank]
-    span = Projector.from_basis(np.hstack(bases) if bases else np.zeros((dim, 0)),
-                                dim=dim, tol=t)
+    span = Projector.from_basis(np.hstack([np.zeros((dim, 0)), *atoms]), dim=dim, tol=t)
     gap = opnorm(span.matrix - target.matrix)
     if gap > t.assert_tol:
         raise CrossCheckFailure(

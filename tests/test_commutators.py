@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _ONE_GIB, SIGMA_X, SIGMA_Z, _run_under_one_gib
-from qlogic import commutators, linalg, projectors
+from families import FAMILY_KINDS, observable_family
+from qlogic import commutators, linalg, observables, projectors
 from qlogic.algebras import algebra_from_generators
 from qlogic.commutators import (
     boolean_factorization_check,
@@ -90,8 +91,9 @@ def test_com_pair_builds_no_meet(monkeypatch):
 
     monkeypatch.setattr(projectors, "meet", no_meet)
     monkeypatch.setattr(projectors, "meet_all", no_meet)
-    monkeypatch.setattr(projectors, "meet_each", no_meet)
+    monkeypatch.setattr(observables, "eigenspace_meets", no_meet)
     monkeypatch.setattr(commutators, "meet_all", no_meet)
+    monkeypatch.setattr(commutators, "joint_atoms", no_meet)
     p, q = block_pair()
     assert opnorm(com_pair(p, q).matrix - SECOND_BLOCK) < 1e-8
 
@@ -232,15 +234,36 @@ def test_com_observables_matches_projector_route():
 
 
 def test_com_observables_returns_the_spectral_route_bits(rng):
-    # The invariant route only checks; the result is the spectral kernel route's.
+    # The invariant route only checks; the result is the joint-atom route's.
     pauli = [spectral_decompose("Z", SIGMA_Z), spectral_decompose("X", SIGMA_X)]
     commuting = random_commuting_observables(4, 3, rng)
     block = random_block_observables([2, 3], [False, True], 2, rng)
     for xs in (pauli, commuting, block):
         ours = com_observables(xs)
-        spectral = com_kernel(threshold_family(xs))
+        spectral = commutators._atom_route(xs)
         assert np.array_equal(ours.basis, spectral.basis)
         assert np.array_equal(ours.matrix, spectral.matrix)
+
+
+def test_com_observables_runs_no_triple_product_kernel(monkeypatch):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("com_observables solved the triple-product kernel")
+
+    monkeypatch.setattr(commutators, "com_kernel", no_kernel)
+    xs = random_block_observables([2, 3], [False, True], 2, rng_from_seed(5))
+    assert com_observables(xs).rank >= 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=1, max_value=10),
+       count=st.integers(min_value=1, max_value=3),
+       kind=st.sampled_from(FAMILY_KINDS))
+def test_atom_route_matches_the_threshold_kernel(seed, dim, count, kind):
+    xs = observable_family(kind, dim, count, rng_from_seed(seed))
+    ours, oracle = commutators._atom_route(xs), com_kernel(threshold_family(xs))
+    assert ours.rank == oracle.rank
+    assert opnorm(ours.matrix - oracle.matrix) <= DEFAULT_TOL.assert_tol
 
 
 def _algebra_route(gens, dim, tol=DEFAULT_TOL):
@@ -422,6 +445,27 @@ def test_d32_generic_pair_com_fits_in_one_gib():
     verdict, seconds = _run_under_one_gib(_D32_CHILD)
     assert verdict == "rank 0"
     assert seconds < 3.0
+
+
+# The joint atoms of a simple-spectrum pair at d = 128 are d^2 systems of
+# d x 1, solved in chunks; the two-stage com_kernel of its 256 thresholds
+# would stack 4.2M x 128 pairwise commutators (about 8 GiB).
+_D128_CHILD = _ONE_GIB + textwrap.dedent("""
+    from qlogic.commutators import com_observables
+    from qlogic.sampling import haar_unitary, observable_from_eigenbasis
+    rng = rng_from_seed(128)
+    xs = [observable_from_eigenbasis(name, haar_unitary(128, rng), range(128), [1] * 128)
+          for name in "XY"]
+    start = time.process_time()
+    print("rank", com_observables(xs).rank)
+    print(time.process_time() - start)
+""")
+
+
+def test_d128_generic_pair_com_fits_in_one_gib():
+    verdict, seconds = _run_under_one_gib(_D128_CHILD)
+    assert verdict == "rank 0"
+    assert seconds < 10.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,16 @@
 """Observables: spectral resolution, Borel descriptors, functional calculus."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SIGMA_X, SIGMA_Z
+from families import FAMILY_KINDS, observable_family
+from oracles import stacked_joint_atoms
+from qlogic import observables
 from qlogic.errors import (
     DimensionMismatchError,
     NotHermitianError,
@@ -17,9 +24,13 @@ from qlogic.observables import (
     embed_first,
     embed_second,
     heisenberg,
+    eigenspace_meets,
+    joint_atoms,
     spectral_decompose,
 )
-from qlogic.sampling import haar_unitary
+from qlogic.projectors import Projector
+from qlogic.sampling import haar_unitary, rng_from_seed
+from qlogic.tolerances import DEFAULT_TOL
 
 
 def diag_obs(name, *values):
@@ -208,3 +219,51 @@ def test_commutes_with():
     d = diag_obs("D", 4.0, 9.0)
     assert z.commutes_with(d)
     assert not z.commutes_with(x)
+
+
+# ---------------------------------------------------------------------------
+# spectral atoms on their own bases
+
+
+def test_eigenspace_meets_of_a_plane_with_spectral_sets():
+    x = diag_obs("A", 0.0, 1.0, 2.0)
+    plane = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], dtype=complex)
+    plane[:, 1] /= np.sqrt(2.0)
+    bases = eigenspace_meets([plane], x, [(0, (0,)), (0, (1,)), (0, (1, 2)), (0, ())],
+                             DEFAULT_TOL)
+    assert [b.shape[1] for b in bases] == [1, 0, 1, 0]
+    assert np.allclose(np.abs(bases[0][:, 0]), [1.0, 0.0, 0.0])
+    assert np.allclose(np.abs(bases[2][:, 0]), [0.0, 1.0, 1.0] / np.sqrt(2.0))
+
+
+def test_eigenspace_meets_solve_in_chunks_with_the_same_bits(monkeypatch):
+    xs = observable_family("simple", 6, 2, rng_from_seed(8))
+    whole = joint_atoms(xs, 6)
+    monkeypatch.setattr(observables, "_MEET_CHUNK", 1)
+    chunked = joint_atoms(xs, 6)
+    assert list(whole) == list(chunked)
+    assert all(np.array_equal(whole[k], chunked[k]) for k in whole)
+
+
+def test_joint_atoms_of_no_observable_and_of_mixed_dimensions():
+    assert np.array_equal(joint_atoms([], 3)[()], np.eye(3))
+    with pytest.raises(DimensionMismatchError):
+        joint_atoms([diag_obs("A", 0.0, 1.0), diag_obs("B", 0.0, 1.0, 2.0)], 2)
+    with pytest.raises(DimensionMismatchError):
+        eigenspace_meets([np.eye(3)], diag_obs("A", 0.0, 1.0), [(0, (0,))], DEFAULT_TOL)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=1, max_value=10),
+       count=st.integers(min_value=1, max_value=3),
+       kind=st.sampled_from(FAMILY_KINDS))
+def test_joint_atoms_match_the_stacked_meets(seed, dim, count, kind):
+    xs = observable_family(kind, dim, count, rng_from_seed(seed))
+    dim = xs[0].dim
+    atoms = joint_atoms(xs, dim)
+    grid = itertools.product(*(range(len(x.spectrum)) for x in xs))
+    for key, oracle in zip(grid, stacked_joint_atoms(xs, dim)):
+        ours = Projector(atoms.get(key, np.zeros((dim, 0))), dim=dim)
+        assert ours.rank == oracle.rank
+        assert opnorm(ours.matrix - oracle.matrix) <= DEFAULT_TOL.assert_tol
