@@ -19,15 +19,11 @@ from .algebras import (
 )
 from .batteries import BUILTIN_SUITES, CheckLine, SuiteResult, run_all, run_suite
 from .commutators import (
-    FactorizationReport,
-    SubcommutatorReport,
-    boolean_factorization_check,
     com_family,
     com_kernel,
     com_observables,
     com_pair,
     threshold_family,
-    verify_subcommutator,
 )
 from .errors import (
     CrossCheckFailure,
@@ -87,7 +83,6 @@ from .projectors import (
     logical_equiv,
     meet,
     meet_all,
-    meet_weak_limit,
     ortho,
     sasaki_implies,
 )
@@ -140,9 +135,7 @@ __all__ = [
     "MatrixAlgebra", "algebra_from_generators", "center", "commutant", "contains",
     "letter_commutator_norm", "minimal_central_projections",
     "BUILTIN_SUITES", "CheckLine", "SuiteResult", "run_all", "run_suite",
-    "FactorizationReport", "SubcommutatorReport", "boolean_factorization_check",
     "com_family", "com_kernel", "com_observables", "com_pair", "threshold_family",
-    "verify_subcommutator",
     "CrossCheckFailure", "DegenerateRandomizationError", "DimensionMismatchError",
     "FactorizationError", "FamilyTooLargeError", "InconsistentBattery", "InputError",
     "NonFiniteError", "NonSquareError", "NotAPOVMError",
@@ -157,7 +150,7 @@ __all__ = [
     "BorelSet", "Interval", "Observable", "embed_first", "embed_second", "heisenberg",
     "spectral_decompose",
     "Projector", "common_null_space_projector", "commutes", "join", "join_all", "leq",
-    "logical_equiv", "meet", "meet_all", "meet_weak_limit", "ortho",
+    "logical_equiv", "meet", "meet_all", "ortho",
     "sasaki_implies",
     "And", "ComO", "EqConst", "EqObs", "Leq", "Not", "ObservableRegistry", "Or",
     "TautologyTransferReport", "Var", "instantiate", "is_classical_tautology",

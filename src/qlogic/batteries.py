@@ -29,7 +29,6 @@ from .measurement import (
     global_measurement_check,
     measurement_battery,
     naimark_process,
-    povm_of_process,
     simultaneous_measurability,
     spanning_state_sample,
 )
@@ -703,8 +702,8 @@ def _suite_measurement(rng: np.random.Generator, tol: ToleranceConfig) -> list[C
                 a = random_observable("A", dim, rng, n_values=dim, tol=tol)
                 process = measuring_process_for(a)
                 squared = apply_outcome_function(process, lambda v: v * v)
-                base = povm_of_process(process)
-                pushed = povm_of_process(squared)
+                base = process.povm
+                pushed = squared.povm
                 for value in squared.meter.spectrum:
                     expected = sum(
                         (base.element(m) for m in base.outcomes
@@ -732,7 +731,7 @@ def _suite_measurement(rng: np.random.Generator, tol: ToleranceConfig) -> list[C
         outcomes = int(rng.integers(2, 5))
         povm = random_povm(dim, outcomes, rng, tol)
         with naimark.attempt(i):
-            induced = povm_of_process(naimark_process(povm))
+            induced = naimark_process(povm).povm
             for label, element in zip(povm.outcomes, povm.elements):
                 naimark.see(opnorm(induced.element(float(label)) - element))
 

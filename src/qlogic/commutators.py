@@ -32,15 +32,13 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import MatrixAlgebra, contains, letter_commutator_norm, minimal_central_projections
 from .errors import CrossCheckFailure, DimensionMismatchError, FamilyTooLargeError
 from .linalg import commutator, dagger, opnorm, solution_basis, unit_norm_stack
 from .observables import Observable, joint_atoms
-from .projectors import Projector, common_null_space_projector, join_all, leq, meet_all, ortho
+from .projectors import Projector, common_null_space_projector, join_all, meet_all, ortho
 from .tolerances import ToleranceConfig
 
 _MAX_FAMILY = 12
@@ -158,97 +156,3 @@ def _invariant_route(matrices: Sequence[np.ndarray], dim: int, tol: ToleranceCon
             break
         basis = basis @ kept
     return Projector(basis, dim=dim, tol=tol)
-
-
-@dataclass
-class SubcommutatorReport:
-    """Checks that com(F) is the largest central element making F compatible."""
-
-    com: Projector
-    central: bool
-    compressions_commute: bool
-    interval_ranks: list[int]
-    interval_commute: list[bool]
-
-    @property
-    def passed(self) -> bool:
-        return self.central and self.compressions_commute and all(self.interval_commute)
-
-
-def verify_subcommutator(family: Sequence[Projector],
-                         algebra: MatrixAlgebra) -> SubcommutatorReport:
-    """Report on the subcommutator role of com(F) inside the given algebra.
-
-    Checks that E = com(F) is central (it lies in the algebra and commutes
-    with every letter), that the compressions P_i E commute pairwise, and that
-    the same holds below every minimal central projection under E (the
-    interval property of the compatible part).
-    """
-    members = list(family)
-    e = com_family(members)
-    limit = members[0].tol.assert_tol
-    central = (all(opnorm(commutator(e.matrix, g)) <= limit for g in algebra.letters)
-               and contains(algebra, e.matrix))
-    compressions_commute = _compressed_family_commutes(members, e)
-    interval_ranks: list[int] = []
-    interval_commute: list[bool] = []
-    for c in minimal_central_projections(algebra):
-        if leq(c, e):
-            interval_ranks.append(c.rank)
-            interval_commute.append(_compressed_family_commutes(members, c))
-    return SubcommutatorReport(com=e, central=central,
-                               compressions_commute=compressions_commute,
-                               interval_ranks=interval_ranks,
-                               interval_commute=interval_commute)
-
-
-def _compressed_family_commutes(members: Sequence[Projector], central: Projector) -> bool:
-    compressed = [p.matrix @ central.matrix for p in members]
-    return max((opnorm(commutator(a, b)) for a, b in itertools.combinations(compressed, 2)),
-               default=0.0) <= members[0].tol.assert_tol
-
-
-@dataclass
-class FactorizationReport:
-    """Boolean/non-Boolean splitting of an algebra along com(F)."""
-
-    com: Projector
-    abelian_below: bool
-    abelian_residual: float
-    residual_blocks: list[int]
-    residual_nonabelian: list[bool]
-    residual_norms: list[float]
-
-    @property
-    def passed(self) -> bool:
-        return self.abelian_below and all(self.residual_nonabelian)
-
-
-def boolean_factorization_check(family: Sequence[Projector],
-                                algebra: MatrixAlgebra) -> FactorizationReport:
-    """Check the two-sided factorization along c = com(F).
-
-    Below c the compressed algebra must be abelian; below every minimal
-    central projection orthogonal to c it must fail to be abelian, i.e. no
-    Boolean factor survives on the incompatible side.  Both are asked over
-    basis x letters (``letter_commutator_norm``).
-    """
-    members = list(family)
-    c = com_family(members)
-    tol = members[0].tol
-    worst = letter_commutator_norm(algebra, c.matrix)
-    abelian_below = worst <= tol.assert_tol
-    c_perp = ortho(c)
-    blocks: list[int] = []
-    flags: list[bool] = []
-    norms: list[float] = []
-    for e in minimal_central_projections(algebra):
-        if not leq(e, c_perp):
-            continue
-        peak = letter_commutator_norm(algebra, e.matrix)
-        blocks.append(e.rank)
-        norms.append(peak)
-        flags.append(peak > tol.assert_tol)
-    return FactorizationReport(com=c, abelian_below=abelian_below, abelian_residual=worst,
-                               residual_blocks=blocks, residual_nonabelian=flags,
-                               residual_norms=norms)

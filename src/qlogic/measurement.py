@@ -101,7 +101,7 @@ class POVM:
 class MeasuringProcess:
     """Probe model of a measurement: (K, sigma, U, M)."""
 
-    __slots__ = ("dim_h", "probe", "unitary", "meter", "tol", "_meter_after")
+    __slots__ = ("dim_h", "probe", "unitary", "meter", "tol", "_meter_after", "_povm")
 
     def __init__(self, dim_h: int, probe: DensityState, unitary: np.ndarray,
                  meter: Observable, tol: ToleranceConfig = DEFAULT_TOL):
@@ -129,6 +129,7 @@ class MeasuringProcess:
         self.meter = meter
         self.tol = tol
         self._meter_after: Observable | None = None
+        self._povm: POVM | None = None
 
     @property
     def dim_k(self) -> int:
@@ -140,6 +141,14 @@ class MeasuringProcess:
         if self._meter_after is None:
             self._meter_after = heisenberg(embed_second(self.meter, self.dim_h), self.unitary)
         return self._meter_after
+
+    @property
+    def povm(self) -> POVM:
+        """The statistics the process induces on the object space
+        (``povm_of_process``), built on first use and kept."""
+        if self._povm is None:
+            self._povm = povm_of_process(self)
+        return self._povm
 
     def __repr__(self) -> str:
         return f"MeasuringProcess(dim_h={self.dim_h}, dim_k={self.dim_k})"
@@ -156,6 +165,15 @@ def povm_of_process(process: MeasuringProcess) -> POVM:
     return POVM(process.meter_after.spectrum, elements, process.tol)
 
 
+def _outcome_points(process: MeasuringProcess,
+                    observable: Observable) -> tuple[POVM, float, list[float]]:
+    """The process's POVM, the width that matches its outcomes with the
+    observable's spectral points, and the merged points."""
+    povm = process.povm
+    width = max(observable.snap_width, process.meter_after.snap_width)
+    return povm, width, merged_values(povm.outcomes, observable.spectrum, width)
+
+
 def _joint_state(process: MeasuringProcess, state: DensityState) -> DensityState:
     """rho (x) sigma on the joint space, at the process's tolerance."""
     return DensityState.from_matrix(kron(state.matrix, process.probe.matrix), process.tol)
@@ -170,7 +188,7 @@ def output_distribution(process: MeasuringProcess, state: DensityState) -> dict[
     if state.dim != process.dim_h:
         raise DimensionMismatchError("state does not live on the object space")
     joint = _joint_state(process, state)
-    povm = povm_of_process(process)
+    povm = process.povm
     out: dict[float, float] = {}
     for value, projector in zip(process.meter_after.spectrum, process.meter_after.eigenprojectors):
         via_joint = projector_probability(projector, joint)
@@ -198,9 +216,7 @@ def weakly_measures(process: MeasuringProcess, observable: Observable,
     Over all outcome/spectral atoms m, a: Tr[Pi({m}) E({a}) rho] equals
     Tr[E({m} cap {a}) rho].
     """
-    povm = povm_of_process(process)
-    width = max(observable.snap_width, process.meter_after.snap_width)
-    atoms = merged_values(povm.outcomes, observable.spectrum, width)
+    povm, width, atoms = _outcome_points(process, observable)
     for m in atoms:
         effect = povm.element(m, width)
         for a in atoms:
@@ -223,9 +239,7 @@ def satisfies_bsf(process: MeasuringProcess, observable: Observable,
     the state tests all its vector states at once (polarization).
     """
     cyclic = cyclic_projector([observable], state)
-    povm = povm_of_process(process)
-    width = max(observable.snap_width, process.meter_after.snap_width)
-    atoms = merged_values(povm.outcomes, observable.spectrum, width)
+    povm, width, atoms = _outcome_points(process, observable)
     for v in atoms:
         gap = povm.element(v, width) - observable.eigenprojector_at(v).matrix
         if opnorm(cyclic.matrix @ gap @ cyclic.matrix) > process.tol.assert_tol:
@@ -254,9 +268,7 @@ def global_measurement_check(process: MeasuringProcess, observable: Observable,
     "every state"; `spanning_state_sample` provides such a sample.
     """
     all_measure = all(measures_in_state(process, observable, s) for s in states)
-    povm = povm_of_process(process)
-    width = max(observable.snap_width, process.meter_after.snap_width)
-    atoms = merged_values(povm.outcomes, observable.spectrum, width)
+    povm, width, atoms = _outcome_points(process, observable)
     worst = 0.0
     for v in atoms:
         worst = max(worst, opnorm(povm.element(v, width)
@@ -334,7 +346,7 @@ def naimark_process(povm: POVM, meter_name: str = "M") -> MeasuringProcess:
     meter = spectral_decompose(meter_name, np.diag(labels).astype(complex), t)
     process = MeasuringProcess(n, DensityState.from_vector(probe_vector, t),
                                unitary, meter, tol=t)
-    induced = povm_of_process(process)
+    induced = process.povm
     for label, element in zip(povm.outcomes, povm.elements):
         gap = opnorm(induced.element(float(label), width) - element)
         if gap > t.assert_tol:

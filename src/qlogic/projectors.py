@@ -210,21 +210,3 @@ def sasaki_implies(p: Projector, q: Projector) -> Projector:
 def logical_equiv(p: Projector, q: Projector) -> Projector:
     """Biconditional (P -> Q) ^ (Q -> P) with the Sasaki arrow."""
     return meet(sasaki_implies(p, q), sasaki_implies(q, p))
-
-
-def meet_weak_limit(p: Projector, q: Projector, iterations: int = 200) -> np.ndarray:
-    """Oracle route for the meet: the limit of (P Q)^n, returned as a matrix.
-
-    Kept as an independent slow route for cross-checks; convergence is
-    geometric in the principal angles, so a couple hundred iterations is far
-    more than desk scale needs.
-    """
-    _require_same_dim(p, q)
-    product = p.matrix @ q.matrix
-    power = np.eye(p.dim, dtype=complex)
-    for _ in range(iterations):
-        power = power @ product
-    # Symmetrize the tail: (PQ)^n -> meet only in the limit, and the limit is
-    # Hermitian even though each iterate is not.
-    return (power + dagger(power)) / 2.0
-

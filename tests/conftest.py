@@ -1,4 +1,5 @@
-"""Shared fixtures: deterministic generators, standard matrices, scenario files."""
+"""Shared fixtures: deterministic generators, standard matrices and observables,
+scenario files."""
 
 import json
 import os
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 from qlogic import DEFAULT_TOL
+from qlogic.observables import spectral_decompose
+from qlogic.projectors import Projector
 from qlogic.sampling import rng_from_seed
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -20,6 +23,21 @@ CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
                  [0, 0, 0, 1],
                  [0, 0, 1, 0]], dtype=complex)
+
+
+def diag_obs(name, *values):
+    """The diagonal observable with the given eigenvalues."""
+    return spectral_decompose(name, np.diag(np.array(values, dtype=float)).astype(complex))
+
+
+def z_up():
+    """The ray of the sigma_z eigenvalue +1."""
+    return Projector.from_matrix(np.diag([1.0, 0.0]).astype(complex))
+
+
+def x_plus():
+    """The ray of the sigma_x eigenvalue +1, transverse to ``z_up``."""
+    return Projector.from_matrix((np.eye(2) + SIGMA_X) / 2.0)
 
 
 def pairs(matrix):
@@ -58,6 +76,16 @@ def _run_under_one_gib(source):
 @pytest.fixture
 def tol():
     return DEFAULT_TOL
+
+
+@pytest.fixture
+def pauli_z():
+    return spectral_decompose("Z", SIGMA_Z)
+
+
+@pytest.fixture
+def pauli_x():
+    return spectral_decompose("X", SIGMA_X)
 
 
 @pytest.fixture

@@ -8,6 +8,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
+from families import (
+    family_and_state,
+    generator_matrix,
+    matrix_family,
+    noisy_pair,
+    rotated_block_generators,
+    split_pair,
+)
+from oracles import (
+    build_by_fixpoint_solve,
+    closed_by_pairs,
+    max_pair_by_loop,
+    span_equal,
+    system_by_kron,
+)
 from qlogic import algebras
 from qlogic.algebras import (
     MatrixAlgebra,
@@ -19,33 +34,15 @@ from qlogic.algebras import (
     minimal_central_projections,
 )
 from qlogic.errors import DimensionMismatchError, QLogicError
-from qlogic.linalg import commutator, dagger, opnorm, range_basis
+from qlogic.linalg import commutator, dagger, opnorm
 from qlogic.projectors import Projector
 from qlogic.sampling import (
     haar_unitary,
-    random_block_observables,
-    random_commuting_observables,
     random_density,
-    random_determinate_family,
-    random_observable,
     random_vector_state,
     rng_from_seed,
 )
 from qlogic.tolerances import DEFAULT_TOL, ToleranceConfig
-
-
-def span_equal(first, second, tol=DEFAULT_TOL):
-    """Mutual containment of two Hilbert-Schmidt spans of matrices.
-
-    The inputs need not be orthonormal or even independent; each stack is
-    reduced to an orthonormal range first, since the containment test
-    projects with the stack directly.
-    """
-    a = range_basis(algebras._stack(first), tol)
-    b = range_basis(algebras._stack(second), tol)
-    if a.shape[1] != b.shape[1]:
-        return False
-    return algebras._span_contains(a, b, tol) and algebras._span_contains(b, a, tol)
 
 
 def test_commutant_of_nothing_is_everything():
@@ -203,30 +200,16 @@ def test_algebras_are_read_only():
 # product closure, pair by pair
 
 
-# Family kinds for _family; "split" is an eigenvalue split of 1e-3 to 1e-5,
+# Kinds of matrix_family; "split" is an eigenvalue split of 1e-3 to 1e-5,
 # "fine-split" one of 1e-6 to 1e-8.
 _KINDS = ["generic", "commuting", "block", "split", "fine-split", "non-normal"]
-
-
-def _closed_by_pairs(basis, tol=DEFAULT_TOL):
-    """Every product basis[i] @ basis[j] lies in the span of the orthonormal
-    basis, checked pair by pair with no cap: the oracle for the word span's
-    stop rule."""
-    stack = algebras._stack(basis)
-    for left in basis:
-        for right in basis:
-            v = (left @ right).reshape(-1)
-            residual = v - stack @ (dagger(stack) @ v)
-            if np.linalg.norm(residual) > tol.assert_tol * max(1.0, np.linalg.norm(v)):
-                return False
-    return True
 
 
 def test_pair_loop_rejects_a_span_not_closed_under_products():
     # sigma_x sigma_z = -i sigma_y leaves span{1, sigma_x, sigma_z}.
     basis = [np.eye(2, dtype=complex) / np.sqrt(2), SIGMA_X / np.sqrt(2), SIGMA_Z / np.sqrt(2)]
-    assert not _closed_by_pairs(basis)
-    assert _closed_by_pairs(algebra_from_generators([SIGMA_X, SIGMA_Z], 2).basis)
+    assert not closed_by_pairs(basis)
+    assert closed_by_pairs(algebra_from_generators([SIGMA_X, SIGMA_Z], 2).basis)
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,7 +217,7 @@ def test_pair_loop_rejects_a_span_not_closed_under_products():
        dim=st.integers(min_value=2, max_value=5),
        kind=st.sampled_from(_KINDS))
 def test_built_algebras_are_closed_under_every_basis_product(seed, dim, kind):
-    gens = _family(kind, dim, rng_from_seed(seed))
+    gens = matrix_family(kind, dim, rng_from_seed(seed))
     try:
         alg = algebra_from_generators(gens, dim)
     except QLogicError:
@@ -242,43 +225,11 @@ def test_built_algebras_are_closed_under_every_basis_product(seed, dim, kind):
         # 1e-5 or more only one the oracle refuses too.
         assert kind == "fine-split" or (kind == "split" and _oracle_refuses(gens, dim))
         return
-    assert _closed_by_pairs(alg.basis)
+    assert closed_by_pairs(alg.basis)
 
 
 # ---------------------------------------------------------------------------
 # batched commutant system and pairwise commutator norms
-
-
-def _commutation_rows(g, n):
-    """One generator's constraint block by np.kron, the reference for the
-    batched system.  Row-major vec: vec(G X) = (G (x) I) vec(X), vec(X G) = (I (x) G^T) vec(X)."""
-    eye = np.eye(n, dtype=complex)
-    return np.kron(g, eye) - np.kron(eye, g.T)
-
-
-def _system_by_kron(mats, dim):
-    rows = []
-    for g in mats:
-        scale = opnorm(g)
-        if scale == 0.0:
-            continue
-        rows.append(_commutation_rows(g, dim) / scale)
-        rows.append(_commutation_rows(dagger(g), dim) / scale)
-    return np.vstack(rows) if rows else np.zeros((0, dim * dim), dtype=complex)
-
-
-def _generator(kind, dim, rng):
-    if kind == "zero":
-        return np.zeros((dim, dim), dtype=complex)
-    if kind == "scalar":
-        return complex(rng.normal(), rng.normal()) * np.eye(dim)
-    if kind == "noisy-identity":
-        return np.eye(dim) + 1e-15 * rng.normal(size=(dim, dim))
-    if kind == "integer-diagonal":
-        return np.diag(rng.integers(-2, 3, size=dim)).astype(complex)
-    if kind == "hermitian":
-        return random_observable("H", dim, rng).matrix
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
 _GENERATOR_KINDS = ["zero", "scalar", "noisy-identity", "integer-diagonal", "hermitian",
@@ -292,9 +243,9 @@ _GENERATOR_KINDS = ["zero", "scalar", "noisy-identity", "integer-diagonal", "her
 def test_batched_commutation_system_matches_kron_stack(seed, dim, kinds):
     rng = rng_from_seed(seed)
     # commutant hands the system complex generators (require_square).
-    mats = [np.asarray(_generator(kind, dim, rng), dtype=complex) for kind in kinds]
+    mats = [np.asarray(generator_matrix(kind, dim, rng), dtype=complex) for kind in kinds]
     batched = algebras._commutation_system(mats, dim)
-    looped = _system_by_kron(mats, dim)
+    looped = system_by_kron(mats, dim)
     assert np.array_equal(batched, looped)
     # Bit for bit, signed zeros included: the blocks are the same products.
     assert batched.shape == looped.shape and batched.tobytes() == looped.tobytes()
@@ -303,16 +254,6 @@ def test_batched_commutation_system_matches_kron_stack(seed, dim, kinds):
 def test_commutant_rejects_a_generator_of_another_size():
     with pytest.raises(DimensionMismatchError):
         commutant([SIGMA_X, np.eye(3)], 2)
-
-
-def _max_pair_by_loop(matrices, right):
-    """Largest opnorm([a_i, a_j] @ right) over basis pairs: the oracle for
-    questions asked over basis x letters."""
-    worst = 0.0
-    for i in range(len(matrices)):
-        for j in range(i + 1, len(matrices)):
-            worst = max(worst, opnorm(commutator(matrices[i], matrices[j]) @ right))
-    return worst
 
 
 _LETTER_KINDS = ["commuting", "determinate-block", "generic", "split", "noisy"]
@@ -324,16 +265,14 @@ def _letter_case(kind, dim, rng):
     family and every minimal central projection of the built algebra."""
     sector = []
     if kind == "determinate-block":
-        family, state = random_determinate_family(max(dim, 4), 2, rng)
+        family, state = family_and_state(kind, dim, 2, rng)
         gens, sector = [x.matrix for x in family], [state.matrix]
     elif kind == "split":
-        gens = _split_pair(dim, 10.0 ** -int(rng.integers(3, 7)), rng)
+        gens = split_pair(dim, 10.0 ** -int(rng.integers(3, 7)), rng)
     elif kind == "noisy":
-        x = random_observable("X", dim, rng).matrix
-        noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        gens = [x, x + 10.0 ** -int(rng.integers(3, 8)) * (noise + dagger(noise))]
+        gens = noisy_pair(dim, rng)
     else:
-        gens = _family(kind, dim, rng)
+        gens = matrix_family(kind, dim, rng)
     dim = len(gens[0])
     alg = algebra_from_generators(gens, dim)
     rights = [random_density(dim, rng).matrix, random_vector_state(dim, rng).matrix,
@@ -356,7 +295,7 @@ def test_letter_commutator_norm_judges_as_the_pair_loop(seed, dim, kind):
     tol = DEFAULT_TOL.assert_tol
     for right in rights:
         letters = letter_commutator_norm(alg, right)
-        assert (letters <= tol) == (_max_pair_by_loop(alg.basis, right) <= tol)
+        assert (letters <= tol) == (max_pair_by_loop(alg.basis, right) <= tol)
 
 
 def test_letter_commutator_norm_of_the_scalar_algebra_is_zero():
@@ -366,67 +305,6 @@ def test_letter_commutator_norm_of_the_scalar_algebra_is_zero():
 
 # ---------------------------------------------------------------------------
 # the word span and the solve-free checks against the double commutant
-
-
-def _build_by_fixpoint_solve(gens, dim, tol=DEFAULT_TOL):
-    """The double-commutant build A = C(C(G)), closed under every product
-    pair and with C(A) = C(G) checked by a third solve: the oracle for the
-    word span and the solve-free checks.  Its second solve has
-    2 dim C(G) d^2 rows, so it is kept for d <= 8."""
-    assert dim <= 8
-    comm = commutant(gens, dim, tol)
-    basis = commutant(comm, dim, tol)
-    stack = algebras._stack(basis)
-    if not algebras._span_contains(stack, algebras._stack([dagger(b) for b in basis]), tol):
-        raise QLogicError("algebra span is not adjoint-closed")
-    if not _closed_by_pairs(basis, tol):
-        raise QLogicError("algebra span is not closed under products")
-    if not span_equal(commutant(basis, dim, tol), comm, tol):
-        raise QLogicError("double commutant fixpoint failed")
-    return basis, comm
-
-
-def _rotated_block_generators(blocks, rng):
-    """Two generators of U ((+) M_n (x) I_m) U^dag for the (n, m) blocks.
-
-    Each block carries a random Hermitian pair, simple in spectrum, tensored
-    with I_m and shifted by a block-dependent scalar so that blocks of equal
-    n stay inequivalent.
-    """
-    def hermitian(n):
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        return a + dagger(a)
-
-    dim = sum(n * m for n, m in blocks)
-    first = np.zeros((dim, dim), dtype=complex)
-    second = np.zeros((dim, dim), dtype=complex)
-    at = 0
-    for k, (n, m) in enumerate(blocks):
-        size = n * m
-        h = hermitian(n) + 20.0 * k * np.eye(n)
-        g = hermitian(n)
-        first[at:at + size, at:at + size] = np.kron(h, np.eye(m))
-        second[at:at + size, at:at + size] = np.kron(g, np.eye(m))
-        at += size
-    u = haar_unitary(dim, rng)
-    return [u @ first @ dagger(u), u @ second @ dagger(u)]
-
-
-def _family(kind, dim, rng):
-    if kind == "generic":
-        return [random_observable(name, dim, rng).matrix for name in "XY"[:rng.integers(1, 3)]]
-    if kind == "commuting":
-        return [x.matrix for x in random_commuting_observables(dim, 2, rng)]
-    if kind == "split":
-        return _split_pair(dim, 10.0 ** -int(rng.integers(3, 6)), rng)
-    if kind == "fine-split":
-        return _split_pair(dim, 10.0 ** -int(rng.integers(6, 9)), rng)
-    if kind == "non-normal":
-        # A rotated nilpotent shift: its words alone span no *-algebra.
-        u = haar_unitary(dim, rng)
-        return [u @ np.eye(dim, k=1) @ dagger(u)]
-    split = [dim // 2, dim - dim // 2]
-    return [x.matrix for x in random_block_observables(split, [True, False], 2, rng)]
 
 
 def _wedderburn_residual(basis, comm):
@@ -445,14 +323,14 @@ def _fixpoint_ok(basis, comm):
 
 def _oracle_refuses(gens, dim):
     try:
-        _build_by_fixpoint_solve(gens, dim)
+        build_by_fixpoint_solve(gens, dim)
     except QLogicError:
         return True
     return False
 
 
 def _assert_solve_free_checks_match_the_oracle(gens, dim, oracle=None):
-    basis, comm = oracle or _build_by_fixpoint_solve(gens, dim)
+    basis, comm = oracle or build_by_fixpoint_solve(gens, dim)
     alg = algebra_from_generators(gens, dim)
     # The word span is built apart from the oracle's second solve (it uses
     # the one commutant solve only to project its new directions); the
@@ -473,9 +351,9 @@ def _assert_solve_free_checks_match_the_oracle(gens, dim, oracle=None):
        dim=st.integers(min_value=2, max_value=8),
        kind=st.sampled_from(_KINDS))
 def test_solve_free_fixpoint_checks_accept_what_the_solve_accepts(seed, dim, kind):
-    gens = _family(kind, dim, rng_from_seed(seed))
+    gens = matrix_family(kind, dim, rng_from_seed(seed))
     try:
-        oracle = _build_by_fixpoint_solve(gens, dim)
+        oracle = build_by_fixpoint_solve(gens, dim)
     except QLogicError:
         # The oracle refuses only near-degenerate families.
         assert kind in ("split", "fine-split")
@@ -489,7 +367,7 @@ def test_solve_free_fixpoint_checks_accept_what_the_solve_accepts(seed, dim, kin
         assert kind == "fine-split"
 
 
-# _split_pair(dim, split, seed) families the oracle builds and a word span
+# split_pair(dim, split, seed) families the oracle builds and a word span
 # that does not project its new directions onto C(G)' refused: its error
 # grew by about 1 / split a step, until the adjoint-closure check failed.
 _DRIFTING_SPLITS = [(7, 1e-4, 1084), (7, 1e-4, 1095), (8, 1e-4, 1010),
@@ -498,7 +376,7 @@ _DRIFTING_SPLITS = [(7, 1e-4, 1084), (7, 1e-4, 1095), (8, 1e-4, 1010),
 
 @pytest.mark.parametrize("dim, split, seed", _DRIFTING_SPLITS)
 def test_the_word_span_builds_split_families_the_oracle_builds(dim, split, seed):
-    alg = _assert_solve_free_checks_match_the_oracle(_split_pair(dim, split, seed), dim)
+    alg = _assert_solve_free_checks_match_the_oracle(split_pair(dim, split, seed), dim)
     # A proper subalgebra: inside M_d no direction can drift out.
     assert alg.size < dim * dim
 
@@ -514,7 +392,7 @@ _BLOCK_SHAPES = [[(1, 1), (1, 1), (1, 1)], [(2, 1)], [(2, 2)], [(1, 2), (2, 1)],
 def test_solve_free_checks_on_rotated_block_algebras_of_known_shape(seed, blocks):
     rng = rng_from_seed(seed)
     dim = sum(n * m for n, m in blocks)
-    alg = _assert_solve_free_checks_match_the_oracle(_rotated_block_generators(blocks, rng), dim)
+    alg = _assert_solve_free_checks_match_the_oracle(rotated_block_generators(blocks, rng), dim)
     assert alg.size == sum(n * n for n, _ in blocks)
     assert len(alg.commutant_basis) == sum(m * m for _, m in blocks)
 
@@ -525,7 +403,7 @@ def test_solve_free_checks_on_rotated_block_algebras_of_known_shape(seed, blocks
 def test_the_word_span_projection_is_the_orthogonal_projection_onto_the_algebra(seed, blocks):
     rng = rng_from_seed(seed)
     dim = sum(n * m for n, m in blocks)
-    basis, comm = _build_by_fixpoint_solve(_rotated_block_generators(blocks, rng), dim)
+    basis, comm = build_by_fixpoint_solve(rotated_block_generators(blocks, rng), dim)
     stack = algebras._stack(basis)
     vectors = rng.normal(size=(dim * dim, 3)) + 1j * rng.normal(size=(dim * dim, 3))
     projected = algebras._onto_commutant_of(comm, np.hstack([stack, vectors]))
@@ -540,7 +418,7 @@ def test_the_word_span_projection_is_the_orthogonal_projection_onto_the_algebra(
        mutation=st.sampled_from(["drop-basis", "extra-commutant"]))
 def test_fixpoint_checks_reject_a_mutated_basis_or_commutant(seed, dim, kind, mutation):
     rng = rng_from_seed(seed)
-    gens = _family(kind, dim, rng)
+    gens = matrix_family(kind, dim, rng)
     alg = algebra_from_generators(gens, dim)
     # On the scalar algebra C*1 neither mutation is defined: dropping its one
     # element leaves no basis, and the commutant M_d leaves no room for another.
@@ -594,7 +472,7 @@ def test_a_family_missing_its_generators_is_refused_before_any_word(monkeypatch,
 
     monkeypatch.setattr(algebras, "_word_span", counted)
     with pytest.raises(QLogicError):
-        algebra_from_generators(_split_pair(dim, 1e-7, seed), dim)
+        algebra_from_generators(split_pair(dim, 1e-7, seed), dim)
     assert calls == []
 
 
@@ -635,16 +513,6 @@ def test_words_of_a_nilpotent_generator_take_its_adjoint():
 # near-degenerate generators: refused or whole, never silently short
 
 
-def _split_pair(dim, split, seed):
-    """X with two eigenvalues split by ``split``, and a generic Y, drawn from
-    ``default_rng(seed)`` or from a given generator."""
-    rng = np.random.default_rng(seed)
-    u = haar_unitary(dim, rng)
-    low = dim // 2
-    x = u @ np.diag([1.0] * low + [1.0 + split] * (dim - low)) @ dagger(u)
-    return [x, random_observable("Y", dim, rng).matrix]
-
-
 def _refused_or_whole(gens, dim):
     try:
         alg = algebra_from_generators(gens, dim)
@@ -664,7 +532,7 @@ def _refused_or_whole(gens, dim):
        dim=st.integers(min_value=2, max_value=8),
        exponent=st.integers(min_value=3, max_value=8))
 def test_near_degenerate_builds_are_refused_or_contain_their_generators(seed, dim, exponent):
-    _refused_or_whole(_split_pair(dim, 10.0 ** -exponent, seed), dim)
+    _refused_or_whole(split_pair(dim, 10.0 ** -exponent, seed), dim)
 
 
 def test_split_pairs_at_d8_that_lost_a_generator_are_refused():
@@ -672,5 +540,5 @@ def test_split_pairs_at_d8_that_lost_a_generator_are_refused():
     # solve returned, for these seeds, an algebra of size 2-4 with a
     # commutant of 16-50 elements that does not contain X.
     seeds = (0, 1, 4, 5, 9, 10, 11, 12, 13, 15)
-    outcomes = [_refused_or_whole(_split_pair(8, 1e-7, seed), 8) for seed in seeds]
+    outcomes = [_refused_or_whole(split_pair(8, 1e-7, seed), 8) for seed in seeds]
     assert outcomes == ["refused"] * len(seeds)

@@ -7,31 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _ONE_GIB, SIGMA_X, SIGMA_Z, _run_under_one_gib
-from families import FAMILY_KINDS, observable_family
+from conftest import _ONE_GIB, SIGMA_X, SIGMA_Z, _run_under_one_gib, x_plus, z_up
+from families import FAMILY_KINDS, observable_family, projector_family, projector_pair
+from oracles import algebra_route, all_pairs_route, stacked_com_kernel
 from qlogic import commutators, linalg, observables, projectors
-from qlogic.algebras import algebra_from_generators
+from qlogic.algebras import (
+    algebra_from_generators,
+    contains,
+    letter_commutator_norm,
+    minimal_central_projections,
+)
 from qlogic.commutators import (
-    boolean_factorization_check,
     com_family,
     com_kernel,
     com_observables,
     com_pair,
     threshold_family,
-    verify_subcommutator,
 )
-from qlogic.errors import DimensionMismatchError, FamilyTooLargeError
+from qlogic.errors import DimensionMismatchError, FamilyTooLargeError, QLogicError
 from qlogic.linalg import commutator, opnorm
 from qlogic.observables import spectral_decompose
-from qlogic.projectors import Projector, common_null_space_projector
+from qlogic.projectors import Projector, leq, ortho
 from qlogic.sampling import (
     haar_unitary,
-    observable_from_eigenbasis,
     random_block_observables,
     random_commuting_observables,
-    random_determinate_family,
-    random_observable,
-    random_projector,
     rng_from_seed,
 )
 from qlogic.tolerances import DEFAULT_TOL
@@ -39,14 +39,6 @@ from qlogic.tolerances import DEFAULT_TOL
 
 def ray(matrix):
     return Projector.from_matrix(np.asarray(matrix, dtype=complex))
-
-
-def z_up():
-    return ray(np.diag([1.0, 0.0]))
-
-
-def x_plus():
-    return ray((np.eye(2) + SIGMA_X) / 2.0)
 
 
 def block_pair():
@@ -98,37 +90,12 @@ def test_com_pair_builds_no_meet(monkeypatch):
     assert opnorm(com_pair(p, q).matrix - SECOND_BLOCK) < 1e-8
 
 
-def _projector_pair(kind, dim, rng):
-    if kind == "commuting":
-        frame = haar_unitary(dim, rng)
-        return tuple(Projector.from_matrix((frame * rng.integers(0, 2, size=dim))
-                                           @ frame.conj().T) for _ in range(2))
-    if kind == "block" and dim >= 3:
-        # A shared frame on the first block, independent ranges on the second,
-        # the whole rotated by a Haar unitary.
-        split = int(rng.integers(1, dim - 1))
-        shared, frame = haar_unitary(split, rng), haar_unitary(dim, rng)
-        pair = []
-        for _ in range(2):
-            block = np.zeros((dim, dim), dtype=complex)
-            block[:split, :split] = (shared * rng.integers(0, 2, size=split)) @ shared.conj().T
-            block[split:, split:] = random_projector(dim - split, rng).matrix
-            pair.append(Projector.from_matrix(frame @ block @ frame.conj().T))
-        return tuple(pair)
-    p = random_projector(dim, rng)
-    if kind == "zero":
-        return p, Projector.zero(dim)
-    if kind == "identity":
-        return Projector.identity(dim), p
-    return p, random_projector(dim, rng)
-
-
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000),
        dim=st.integers(min_value=1, max_value=6),
        kind=st.sampled_from(["random", "block", "commuting", "zero", "identity"]))
 def test_com_pair_agrees_with_the_sign_map_join(seed, dim, kind):
-    p, q = _projector_pair(kind, dim, rng_from_seed(seed))
+    p, q = projector_pair(kind, dim, rng_from_seed(seed))
     pairwise, family = com_pair(p, q), com_family([p, q])
     assert pairwise.rank == family.rank
     assert opnorm(pairwise.matrix - family.matrix) <= DEFAULT_TOL.assert_tol
@@ -266,41 +233,6 @@ def test_atom_route_matches_the_threshold_kernel(seed, dim, count, kind):
     assert opnorm(ours.matrix - oracle.matrix) <= DEFAULT_TOL.assert_tol
 
 
-def _algebra_route(gens, dim, tol=DEFAULT_TOL):
-    """Oracle for the invariant route: the joint kernel of [a, g] over a basis
-    a of the generated algebra and its letters g."""
-    algebra = algebra_from_generators(gens, dim, tol)
-    basis = np.stack(algebra.basis)
-    blocks = [commutator(basis, g).reshape(-1, dim) for g in algebra.letters]
-    return common_null_space_projector(blocks, dim, tol)
-
-
-def _all_pairs_route(gens, dim, tol=DEFAULT_TOL):
-    """The joint kernel of all basis pairs [a_i, a_j] of the generated
-    algebra: the oracle for the invariant route's raw-matrix answer."""
-    basis = np.stack(algebra_from_generators(gens, dim, tol).basis)
-    blocks = [commutator(basis[i], basis[i + 1:]).reshape(-1, dim)
-              for i in range(len(basis) - 1)]
-    return common_null_space_projector(blocks, dim, tol)
-
-
-def _observable_family(kind, dim, count, rng):
-    if kind == "generic":
-        return [random_observable(f"X{k}", dim, rng) for k in range(count)]
-    if kind == "commuting":
-        return random_commuting_observables(dim, count, rng)
-    if kind == "block":
-        return random_block_observables([dim // 2, dim - dim // 2], [False, True], count, rng)
-    if kind == "determinate-block":
-        return random_determinate_family(dim, max(count, 2), rng)[0]
-    # A generic family with one member replaced by a scalar or by zero.
-    family = [random_observable(f"X{k}", dim, rng) for k in range(count)]
-    member = (rng.normal() * np.eye(dim, dtype=complex) if kind == "scalar"
-              else np.zeros((dim, dim), complex))
-    family[int(rng.integers(count))] = spectral_decompose("S", member)
-    return family
-
-
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000),
        dim=st.integers(min_value=2, max_value=6),
@@ -308,13 +240,13 @@ def _observable_family(kind, dim, count, rng):
        kind=st.sampled_from(["generic", "commuting", "block", "scalar", "zero"]))
 def test_generator_route_matches_all_pairs_route(seed, dim, count, kind):
     rng = rng_from_seed(seed)
-    gens = [x.matrix for x in _observable_family(kind, dim, count, rng)]
+    gens = [x.matrix for x in observable_family(kind, dim, count, rng)]
     if kind == "generic" and count == 1 and dim >= 4:
         # A rotated block family: the kernel is a proper nonzero subspace.
         u = haar_unitary(dim, rng)
-        gens = [u @ x.matrix @ u.conj().T for x in _observable_family("block", dim, 2, rng)]
+        gens = [u @ x.matrix @ u.conj().T for x in observable_family("block", dim, 2, rng)]
     ours = commutators._invariant_route(gens, dim, DEFAULT_TOL)
-    oracle = _all_pairs_route(gens, dim)
+    oracle = all_pairs_route(gens, dim)
     assert ours.rank == oracle.rank
     assert opnorm(ours.matrix - oracle.matrix) <= DEFAULT_TOL.assert_tol
 
@@ -323,7 +255,7 @@ def test_generator_route_of_zero_and_scalar_generators_is_identity():
     for gens in ([np.zeros((3, 3), complex)], [2.5 * np.eye(3, dtype=complex)],
                  [np.zeros((3, 3), complex), np.eye(3, dtype=complex)]):
         assert commutators._invariant_route(gens, 3, DEFAULT_TOL).rank == 3
-        assert _all_pairs_route(gens, 3).rank == 3
+        assert all_pairs_route(gens, 3).rank == 3
 
 
 @settings(max_examples=80, deadline=None)
@@ -333,66 +265,17 @@ def test_generator_route_of_zero_and_scalar_generators_is_identity():
        kind=st.sampled_from(["generic", "commuting", "block", "determinate-block",
                              "scalar", "zero"]))
 def test_invariant_route_matches_the_spectral_and_algebra_routes(seed, dim, count, kind):
-    if kind == "determinate-block":
-        dim = max(dim, 4)
-    xs = _observable_family(kind, dim, count, rng_from_seed(seed))
+    xs = observable_family(kind, dim, count, rng_from_seed(seed))
+    dim = xs[0].dim
     gens = [x.matrix for x in xs]
     ours = commutators._invariant_route(gens, dim, DEFAULT_TOL)
-    for oracle in (com_kernel(threshold_family(xs)), _algebra_route(gens, dim)):
+    for oracle in (com_kernel(threshold_family(xs)), algebra_route(gens, dim)):
         assert ours.rank == oracle.rank
         assert opnorm(ours.matrix - oracle.matrix) <= DEFAULT_TOL.assert_tol
 
 
 # ---------------------------------------------------------------------------
 # the two-stage kernel against the stacked triple products
-
-
-def _stacked_com_kernel(family):
-    """Oracle for ``com_kernel``: the joint kernel of every [P_i, P_j] P_k,
-    i < j, stacked in one system of N^2 (N-1) d / 2 rows."""
-    cube = np.stack([p.matrix for p in family])
-    dim = cube.shape[1]
-    blocks = [(commutator(cube[i], cube[i + 1:])[:, None] @ cube).reshape(-1, dim)
-              for i in range(len(cube) - 1)]
-    return common_null_space_projector(blocks, dim, family[0].tol)
-
-
-def _simple_spectrum_pair(dim, rng):
-    return [observable_from_eigenbasis(name, haar_unitary(dim, rng), range(dim), [1] * dim)
-            for name in "XY"]
-
-
-def _sector_family(dim, count, rng):
-    """Coordinate projectors on a sector of dim // 3 coordinates plus Haar
-    subspaces of its complement, as in lattice-eval's ``_com_family_op``
-    (perfbench/workloads.py)."""
-    sector = dim // 3
-    frame = haar_unitary(dim, rng)
-    family = []
-    for _ in range(count):
-        rank = int(rng.integers(1, dim - sector))
-        chosen = frame[:, :sector][:, rng.random(sector) < 0.5]
-        generic = frame[:, sector:] @ haar_unitary(dim - sector, rng)[:, :rank]
-        family.append(Projector(np.hstack([chosen, generic]), dim=dim))
-    return family
-
-
-def _kernel_family(kind, dim, count, rng):
-    if kind == "sector":
-        return _sector_family(dim, max(count, 2), rng)
-    if kind == "split":
-        # Two eigenvalues of X split by 1e-5 to 1e-8, against a generic Y.
-        split = 10.0 ** -int(rng.integers(5, 9))
-        low = dim // 2
-        u = haar_unitary(dim, rng)
-        x = u @ np.diag([1.0] * low + [1.0 + split] * (dim - low)) @ u.conj().T
-        xs = [spectral_decompose("X", x), random_observable("Y", dim, rng)]
-    elif kind == "simple":
-        xs = _simple_spectrum_pair(dim, rng)
-    else:
-        xs = _observable_family(kind, max(dim, 4) if kind == "determinate-block" else dim,
-                                count, rng)
-    return threshold_family(xs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -402,8 +285,8 @@ def _kernel_family(kind, dim, count, rng):
        kind=st.sampled_from(["generic", "simple", "commuting", "block", "determinate-block",
                              "split", "sector"]))
 def test_com_kernel_matches_the_stacked_triple_products(seed, dim, count, kind):
-    family = _kernel_family(kind, dim, count, rng_from_seed(seed))
-    ours, oracle = com_kernel(family), _stacked_com_kernel(family)
+    family = projector_family(kind, dim, count, rng_from_seed(seed))
+    ours, oracle = com_kernel(family), stacked_com_kernel(family)
     assert ours.rank == oracle.rank
     assert opnorm(ours.matrix - oracle.matrix) <= DEFAULT_TOL.assert_tol
 
@@ -411,7 +294,7 @@ def test_com_kernel_matches_the_stacked_triple_products(seed, dim, count, kind):
 def test_com_kernel_systems_stay_within_the_pairwise_rows(monkeypatch):
     # Stacking the triple products of these 12 thresholds takes 4752 rows;
     # neither stage may exceed the 396 rows of the pairwise commutators.
-    family = threshold_family(_simple_spectrum_pair(6, rng_from_seed(6)))
+    family = threshold_family(observable_family("simple", 6, 2, rng_from_seed(6)))
     shapes = []
     solve = linalg.solution_bases
 
@@ -469,20 +352,41 @@ def test_d128_generic_pair_com_fits_in_one_gib():
 
 
 # ---------------------------------------------------------------------------
-# structural roles of the commutator
+# structural roles of the commutator: com(F) is the central part of the
+# generated algebra on which the family commutes, abelian below and with no
+# abelian block above
+
+
+def _is_central(e, algebra):
+    """E lies in the algebra and commutes with every letter."""
+    limit = e.tol.assert_tol
+    return (contains(algebra, e.matrix)
+            and all(opnorm(commutator(e.matrix, g)) <= limit for g in algebra.letters))
+
+
+def _compressions_commute(family, e):
+    """The compressions P_i E commute pairwise."""
+    compressed = [p.matrix @ e.matrix for p in family]
+    return all(opnorm(commutator(a, b)) <= family[0].tol.assert_tol
+               for i, a in enumerate(compressed) for b in compressed[i + 1:])
+
+
+def _blocks_below(algebra, e):
+    """The minimal central projections of the algebra under E."""
+    return [c for c in minimal_central_projections(algebra) if leq(c, e)]
 
 
 def test_verify_subcommutator_block_fixture():
     p, q = block_pair()
     algebra = algebra_from_generators([p.matrix, q.matrix], 4)
-    report = verify_subcommutator([p, q], algebra)
-    assert report.passed
-    assert report.central
-    assert report.compressions_commute
-    assert opnorm(report.com.matrix - SECOND_BLOCK) < 1e-8
+    e = com_family([p, q])
+    assert _is_central(e, algebra)
+    assert _compressions_commute([p, q], e)
+    assert opnorm(e.matrix - SECOND_BLOCK) < 1e-8
     # Every minimal central piece below com carries a commuting compression.
-    assert report.interval_ranks
-    assert all(report.interval_commute)
+    below = _blocks_below(algebra, e)
+    assert below
+    assert all(_compressions_commute([p, q], c) for c in below)
 
 
 def test_verify_subcommutator_reports_a_com_that_is_not_central():
@@ -493,30 +397,51 @@ def test_verify_subcommutator_reports_a_com_that_is_not_central():
     mixer = np.zeros((4, 4), dtype=complex)
     mixer[1, 2] = mixer[2, 1] = 1.0
     algebra = algebra_from_generators([p.matrix, q.matrix, mixer], 4)
-    report = verify_subcommutator([p, q], algebra)
-    assert opnorm(report.com.matrix - SECOND_BLOCK) < 1e-8
-    assert not report.central and not report.passed
+    e = com_family([p, q])
+    assert opnorm(e.matrix - SECOND_BLOCK) < 1e-8
+    assert not _is_central(e, algebra)
 
 
 def test_boolean_factorization_block_fixture():
     p, q = block_pair()
     algebra = algebra_from_generators([p.matrix, q.matrix], 4)
-    report = boolean_factorization_check([p, q], algebra)
-    assert report.passed
-    assert report.abelian_below
-    assert report.abelian_residual < 1e-8
+    c = com_family([p, q])
+    assert letter_commutator_norm(algebra, c.matrix) < 1e-8
     # The incompatible side is one genuinely non-abelian block.
-    assert report.residual_blocks == [2]
-    assert report.residual_nonabelian == [True]
-    assert report.residual_norms[0] > 0.1
+    above = _blocks_below(algebra, ortho(c))
+    assert [e.rank for e in above] == [2]
+    assert letter_commutator_norm(algebra, above[0].matrix) > 0.1
 
 
 def test_boolean_factorization_commuting_family_has_no_residual():
     p = ray(np.diag([1.0, 0.0, 1.0, 0.0]))
     q = ray(np.diag([1.0, 1.0, 0.0, 0.0]))
     algebra = algebra_from_generators([p.matrix, q.matrix], 4)
-    report = boolean_factorization_check([p, q], algebra)
-    assert report.com.rank == 4
-    assert report.abelian_below
-    assert report.residual_blocks == []
-    assert report.passed
+    c = com_family([p, q])
+    assert c.rank == 4
+    assert letter_commutator_norm(algebra, c.matrix) <= DEFAULT_TOL.assert_tol
+    assert _blocks_below(algebra, ortho(c)) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=2, max_value=5),
+       count=st.integers(min_value=1, max_value=3),
+       kind=st.sampled_from(FAMILY_KINDS))
+def test_com_is_the_central_abelian_part_of_the_generated_algebra(seed, dim, count, kind):
+    family = threshold_family(observable_family(kind, dim, count, rng_from_seed(seed)))
+    dim = family[0].dim
+    try:
+        algebra = algebra_from_generators([p.matrix for p in family], dim)
+    except QLogicError:
+        # Only a near-degenerate family may be refused by the build.
+        assert kind == "split"
+        return
+    e = com_kernel(family)
+    limit = DEFAULT_TOL.assert_tol
+    assert _is_central(e, algebra)
+    assert _compressions_commute(family, e)
+    assert all(_compressions_commute(family, c) for c in _blocks_below(algebra, e))
+    assert letter_commutator_norm(algebra, e.matrix) <= limit
+    assert all(letter_commutator_norm(algebra, c.matrix) > limit
+               for c in _blocks_below(algebra, ortho(e)))

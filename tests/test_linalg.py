@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
+from families import kernel_input
+from oracles import unfloored_kernel_basis
 from qlogic import DEFAULT_TOL, cli
 from qlogic.algebras import algebra_from_generators, minimal_central_projections
 from qlogic.errors import (
@@ -37,7 +39,7 @@ from qlogic.linalg import (
 from qlogic.measurement import POVM, naimark_process
 from qlogic.projectors import Projector
 from qlogic.scenario import load_scenario
-from qlogic.sampling import haar_unitary, random_povm, random_projector, rng_from_seed
+from qlogic.sampling import haar_unitary, random_povm, rng_from_seed
 
 
 def test_as_matrix_and_require_square():
@@ -112,29 +114,6 @@ def test_kernel_basis_full_rank_is_empty():
     assert kernel_basis(np.eye(3)).shape == (3, 0)
 
 
-def _unfloored_kernel_basis(matrix, tol=DEFAULT_TOL):
-    """Oracle: the square-only kernel solve with its own unfloored cutoff,
-    which ``kernel_basis`` used before it became ``solution_basis``."""
-    m = require_square(matrix)
-    n = m.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    _, s, vh = np.linalg.svd(m)
-    cutoff = singular_cutoff(s, n, tol)
-    return dagger(vh)[:, s <= cutoff]
-
-
-def _kernel_input(kind, dim, rng):
-    if kind == "projector":
-        return random_projector(dim, rng).matrix
-    if kind == "zero":
-        return np.zeros((dim, dim), dtype=complex)
-    rank = dim if kind == "random" else int(rng.integers(0, dim))
-    left = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    right = rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
-    return left @ right
-
-
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000),
        dim=st.integers(min_value=1, max_value=12),
@@ -144,9 +123,9 @@ def test_kernel_basis_gives_the_bits_of_the_unfloored_oracle(seed, dim, kind):
     # rank_rel_tol d], and no singular value of these inputs lies there:
     # projectors have s0 = 1, and the zero singular values of a zero or
     # rank-deficient matrix sit at rounding level, below either cutoff.
-    m = _kernel_input(kind, dim, rng_from_seed(seed))
+    m = kernel_input(kind, dim, rng_from_seed(seed))
     ours = kernel_basis(m)
-    oracle = _unfloored_kernel_basis(m)
+    oracle = unfloored_kernel_basis(m)
     assert ours.shape == oracle.shape
     assert np.array_equal(ours, oracle)
 

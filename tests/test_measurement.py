@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import CNOT, SIGMA_X, SIGMA_Z
+from conftest import CNOT, SIGMA_Z, diag_obs
 from qlogic.errors import (
     DimensionMismatchError,
     NotAPOVMError,
@@ -25,7 +25,6 @@ from qlogic.measurement import (
     spanning_state_sample,
     weakly_measures,
 )
-from qlogic.observables import spectral_decompose
 from qlogic.sampling import (
     cnot_process,
     measuring_process_for,
@@ -34,20 +33,6 @@ from qlogic.sampling import (
     random_vector_state,
 )
 from qlogic.states import DensityState
-
-
-def diag_obs(name, *values):
-    return spectral_decompose(name, np.diag(np.array(values, dtype=float)).astype(complex))
-
-
-@pytest.fixture
-def pauli_z():
-    return spectral_decompose("Z", SIGMA_Z)
-
-
-@pytest.fixture
-def pauli_x():
-    return spectral_decompose("X", SIGMA_X)
 
 
 def up_state():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SIGMA_X, SIGMA_Z
+from conftest import SIGMA_X, SIGMA_Z, diag_obs
 from families import FAMILY_KINDS, observable_family
 from oracles import stacked_joint_atoms
 from qlogic import observables
@@ -31,10 +31,6 @@ from qlogic.observables import (
 from qlogic.projectors import Projector
 from qlogic.sampling import haar_unitary, rng_from_seed
 from qlogic.tolerances import DEFAULT_TOL
-
-
-def diag_obs(name, *values):
-    return spectral_decompose(name, np.diag(np.array(values, dtype=float)).astype(complex))
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SIGMA_X
+from conftest import x_plus, z_up
 from oracles import meet_each
 from qlogic.errors import DimensionMismatchError
 from qlogic.projectors import Projector, meet_all
 from qlogic.sampling import random_projector, random_subprojector, rng_from_seed
-
-
-def z_up():
-    return Projector.from_matrix(np.diag([1.0, 0.0]).astype(complex))
-
-
-def x_plus():
-    return Projector.from_matrix((np.eye(2) + SIGMA_X) / 2.0)
 
 
 def _assert_meets_match_meet_all(families, dim):

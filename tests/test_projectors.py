@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SIGMA_X
+from conftest import x_plus, z_up
+from oracles import meet_weak_limit
 from qlogic.errors import DimensionMismatchError
 from qlogic.linalg import commutator, opnorm
 from qlogic.projectors import (
@@ -20,19 +21,10 @@ from qlogic.projectors import (
     logical_equiv,
     meet,
     meet_all,
-    meet_weak_limit,
     ortho,
     sasaki_implies,
 )
 from qlogic.sampling import random_projector, random_subprojector, rng_from_seed
-
-
-def z_up():
-    return Projector.from_matrix(np.diag([1.0, 0.0]).astype(complex))
-
-
-def x_plus():
-    return Projector.from_matrix((np.eye(2) + SIGMA_X) / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import diag_obs
 from qlogic.errors import (
     NotATautologyError,
     PropositionSyntaxError,
@@ -32,10 +33,6 @@ from qlogic.propositions import (
     truth_value,
 )
 from qlogic.states import DensityState
-
-
-def diag_obs(name, *values):
-    return spectral_decompose(name, np.diag(np.array(values, dtype=float)).astype(complex))
 
 
 @pytest.fixture

@@ -1,6 +1,5 @@
 """States, Born probabilities, determinateness, and quantum equality."""
 
-import itertools
 import textwrap
 
 import numpy as np
@@ -8,11 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import _ONE_GIB, SIGMA_X, SIGMA_Z, _run_under_one_gib
-from families import FAMILY_KINDS, observable_family
-from oracles import stacked_crossings, triple_products
+from conftest import _ONE_GIB, SIGMA_X, SIGMA_Z, _run_under_one_gib, diag_obs
+from families import FAMILY_KINDS, family_and_state, observable_family
+from oracles import (
+    common_eigenvector_span_by_meets,
+    cyclic_by_algebra,
+    grid_measure_by_meet_all,
+    stacked_crossings,
+    triple_products,
+)
 from qlogic import states
-from qlogic.algebras import algebra_from_generators
 from qlogic.commutators import com_kernel
 from qlogic.errors import (
     DimensionMismatchError,
@@ -22,14 +26,11 @@ from qlogic.errors import (
 )
 from qlogic.linalg import opnorm
 from qlogic.observables import embed_first, embed_second, spectral_decompose
-from qlogic.projectors import Projector, meet, meet_all
+from qlogic.projectors import Projector
 from qlogic.propositions import ObservableRegistry, parse
 from qlogic.sampling import (
-    random_agreeing_pair,
-    random_block_observables,
     random_commuting_observables,
     random_density,
-    random_determinate_family,
     random_observable,
     random_vector_state,
     rng_from_seed,
@@ -54,24 +55,10 @@ from qlogic.states import (
 from qlogic.tolerances import DEFAULT_TOL
 
 
-def diag_obs(name, *values):
-    return spectral_decompose(name, np.diag(np.array(values, dtype=float)).astype(complex))
-
-
 def basis_state(dim, index):
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return DensityState.from_vector(v)
-
-
-@pytest.fixture
-def pauli_z():
-    return spectral_decompose("Z", SIGMA_Z)
-
-
-@pytest.fixture
-def pauli_x():
-    return spectral_decompose("X", SIGMA_X)
 
 
 @pytest.fixture
@@ -216,13 +203,6 @@ def test_cyclic_projector_grows_with_mixing(pauli_x):
     assert p.rank == 2
 
 
-def _cyclic_by_algebra(xs, state):
-    """The algebra route: span of b psi over a basis b of the generated algebra."""
-    alg = algebra_from_generators([x.matrix for x in xs], state.dim)
-    return Projector.from_basis(np.hstack([b @ state.support.basis for b in alg.basis]),
-                                dim=state.dim)
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000),
        dim=st.integers(min_value=1, max_value=6),
@@ -242,7 +222,7 @@ def test_one_observable_cyclic_projector_matches_algebra_route(seed, dim, values
         eigenspace = x.eigenprojectors[int(rng.integers(len(x.eigenprojectors)))]
         state = state_supported_in(eigenspace, rng)
     direct = cyclic_projector([x], state)
-    oracle = _cyclic_by_algebra([x], state)
+    oracle = cyclic_by_algebra([x], state)
     assert direct.rank == oracle.rank
     assert opnorm(direct.matrix - oracle.matrix) <= DEFAULT_TOL.assert_tol
     if kind == "eigenspace":
@@ -267,14 +247,7 @@ def test_family_cyclic_projector_requires_matching_dims(pauli_z):
        kind=st.sampled_from(["vector", "mixed", "full"]))
 def test_family_cyclic_projector_matches_algebra_route(seed, dim, count, family, kind):
     rng = rng_from_seed(seed)
-    if family == "generic":
-        xs = [random_observable(f"X{k}", dim, rng) for k in range(count)]
-    elif family == "commuting":
-        xs = random_commuting_observables(dim, count, rng)
-    elif family == "block":
-        xs = random_block_observables([dim // 2, dim - dim // 2], [False, True], count, rng)
-    else:
-        xs, _ = random_determinate_family(max(dim, 4), count, rng)
+    xs = observable_family(family, dim, count, rng)
     dim = xs[0].dim
     if kind == "vector":
         state = random_vector_state(dim, rng)
@@ -283,7 +256,7 @@ def test_family_cyclic_projector_matches_algebra_route(seed, dim, count, family,
     else:
         state = random_density(dim, rng, rank=dim)
     orbit = cyclic_projector(xs, state)
-    oracle = _cyclic_by_algebra(xs, state)
+    oracle = cyclic_by_algebra(xs, state)
     assert orbit.rank == oracle.rank
     assert opnorm(orbit.matrix - oracle.matrix) <= DEFAULT_TOL.assert_tol
 
@@ -358,59 +331,7 @@ def test_determinateness_joint_distribution_matches_born(rng):
         assert mass == pytest.approx(direct.real, abs=1e-10)
 
 
-def _grid_measure_by_meet_all(xs, state, t):
-    """The per-combination loop that ``_grid_measure`` batches, kept as its oracle."""
-    dim = state.dim
-    atom_projectors = [[x.eigenprojector_at(v) for v in x.spectrum] for x in xs]
-    grids = [range(len(x.spectrum)) for x in xs]
-    masses = {}
-    worst = 0.0
-    for combo in itertools.product(*grids):
-        parts = [atom_projectors[j][k] for j, k in enumerate(combo)]
-        p = meet_all(parts, dim=dim)
-        value = float(np.real(np.trace(p.matrix @ state.matrix)))
-        masses[tuple(xs[j].spectrum[k] for j, k in enumerate(combo))] = value
-        worst = max(worst, max(0.0, -value))
-    total = float(sum(masses.values()))
-    worst = max(worst, abs(total - 1.0))
-    for j in range(len(xs)):
-        other_grids = [range(len(x.spectrum)) for i, x in enumerate(xs) if i != j]
-        for rest in itertools.product(*other_grids):
-            parts = []
-            rest_iter = iter(rest)
-            summed = 0.0
-            for i, x in enumerate(xs):
-                if i != j:
-                    parts.append(atom_projectors[i][next(rest_iter)])
-            direct = meet_all(parts, dim=dim)
-            direct_mass = float(np.real(np.trace(direct.matrix @ state.matrix)))
-            for k in range(len(xs[j].spectrum)):
-                combo_values = []
-                rest_iter2 = iter(rest)
-                for i, x in enumerate(xs):
-                    if i == j:
-                        combo_values.append(x.spectrum[k])
-                    else:
-                        combo_values.append(x.spectrum[next(rest_iter2)])
-                summed += masses[tuple(combo_values)]
-            worst = max(worst, abs(summed - direct_mass))
-    return masses, worst, worst <= t.assert_tol
-
-
 _FAMILY_KINDS = ["commuting", "determinate-block", "generic", "agreeing"]
-
-
-def _sampled_family(kind, dim, count, rng):
-    """Observables of one kind and a state; below d = 4 the determinate-block
-    and agreeing kinds fall back to generic."""
-    if kind == "commuting":
-        return random_commuting_observables(dim, count, rng), random_density(dim, rng)
-    if kind == "determinate-block" and dim >= 4:
-        return random_determinate_family(dim, max(count, 2), rng)
-    if kind == "agreeing" and dim >= 4:
-        x, y, state = random_agreeing_pair(dim, rng)
-        return [x, y], state
-    return [random_observable(f"X{i}", dim, rng) for i in range(count)], random_density(dim, rng)
 
 
 @settings(max_examples=60, deadline=None)
@@ -419,9 +340,9 @@ def _sampled_family(kind, dim, count, rng):
        count=st.integers(min_value=1, max_value=3),
        kind=st.sampled_from(_FAMILY_KINDS))
 def test_grid_measure_matches_the_per_meet_loop(seed, dim, count, kind):
-    xs, state = _sampled_family(kind, dim, count, rng_from_seed(seed))
+    xs, state = family_and_state(kind, dim, count, rng_from_seed(seed))
     masses, worst, ok = states._grid_measure(xs, state, DEFAULT_TOL)
-    expected_masses, expected_worst, expected_ok = _grid_measure_by_meet_all(xs, state, DEFAULT_TOL)
+    expected_masses, expected_worst, expected_ok = grid_measure_by_meet_all(xs, state, DEFAULT_TOL)
     limit = DEFAULT_TOL.assert_tol
     assert list(masses) == list(expected_masses)
     assert max(abs(masses[k] - expected_masses[k]) for k in masses) <= limit
@@ -508,18 +429,12 @@ def test_equivalence_relation_with_non_commuting_middle(pauli_z, pauli_x):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000),
        dim=st.integers(min_value=2, max_value=6),
-       kind=st.sampled_from(["random", "commuting", "agreeing"]))
+       kind=st.sampled_from(["generic", "commuting", "agreeing"]))
 @example(seed=33, dim=4, kind="commuting")
 @example(seed=91, dim=3, kind="commuting")
 @example(seed=160, dim=6, kind="commuting")
 def test_equality_projector_is_bitwise_symmetric(seed, dim, kind):
-    rng = rng_from_seed(seed)
-    if kind == "random":
-        x, y = random_observable("X", dim, rng), random_observable("Y", dim, rng)
-    elif kind == "commuting":
-        x, y = random_commuting_observables(dim, 2, rng)
-    else:
-        x, y, _ = random_agreeing_pair(max(dim, 4), rng)
+    x, y = observable_family(kind, dim, 2, rng_from_seed(seed))
     assert np.array_equal(equality_projector(x, y).matrix, equality_projector(y, x).matrix)
 
 
@@ -591,33 +506,16 @@ def test_common_eigenvectors_of_an_empty_or_mixed_family_raise_typed_errors(mode
                                      mode)
 
 
-def _common_eigenvector_span_by_meets(xs, mode):
-    """The per-atom ``meet_all`` and ``meet`` loops on full projector
-    matrices, kept as the oracle of ``common_eigenvector_projector``."""
-    dim = xs[0].dim
-    if mode == "determinate":
-        grid = itertools.product(*([x.eigenprojector_at(v) for v in x.spectrum] for x in xs))
-        meets = [meet_all(list(parts), dim=dim) for parts in grid]
-    else:
-        x, y = xs
-        width = max(x.snap_width, y.snap_width)
-        meets = [meet(x.eigenprojector_at(a), y.eigenprojector_at(b))
-                 for a in x.spectrum for b in y.spectrum if abs(a - b) <= width]
-    bases = [p.basis for p in meets if p.rank]
-    return Projector.from_basis(np.hstack(bases) if bases else np.zeros((dim, 0)),
-                                dim=dim, tol=xs[0].tol)
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000),
        dim=st.integers(min_value=1, max_value=6),
        count=st.integers(min_value=1, max_value=3),
        kind=st.sampled_from(_FAMILY_KINDS))
 def test_common_eigenvectors_match_the_per_atom_loops(seed, dim, count, kind):
-    xs, _ = _sampled_family(kind, dim, count, rng_from_seed(seed))
+    xs, _ = family_and_state(kind, dim, count, rng_from_seed(seed))
     for family, mode in ((xs, "determinate"), ((xs + xs)[:2], "equal")):
         span = common_eigenvector_projector(family, mode)
-        expected = _common_eigenvector_span_by_meets(family, mode)
+        expected = common_eigenvector_span_by_meets(family, mode)
         assert span.rank == expected.rank
         assert opnorm(span.matrix - expected.matrix) <= DEFAULT_TOL.assert_tol
 
