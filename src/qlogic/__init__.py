@@ -10,11 +10,11 @@ measurement equivalences, and seeded property suites over all of it.
 
 from .algebras import (
     MatrixAlgebra,
+    abelian_part,
     algebra_from_generators,
     center,
     commutant,
     contains,
-    letter_commutator_norm,
     minimal_central_projections,
 )
 from .batteries import BUILTIN_SUITES, CheckLine, SuiteResult, run_all, run_suite
@@ -34,6 +34,7 @@ from .errors import (
     InconsistentBattery,
     InputError,
     NonFiniteError,
+    NonGenericElementError,
     NonSquareError,
     NotAPOVMError,
     NotATautologyError,
@@ -80,7 +81,6 @@ from .projectors import (
     join,
     join_all,
     leq,
-    logical_equiv,
     meet,
     meet_all,
     ortho,
@@ -114,7 +114,6 @@ from .states import (
     DensityState,
     EquivalenceReport,
     JointDistribution,
-    born_joint,
     common_eigenvector_projector,
     cyclic_projector,
     determinateness_battery,
@@ -132,13 +131,13 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "MatrixAlgebra", "algebra_from_generators", "center", "commutant", "contains",
-    "letter_commutator_norm", "minimal_central_projections",
+    "MatrixAlgebra", "abelian_part", "algebra_from_generators", "center", "commutant",
+    "contains", "minimal_central_projections",
     "BUILTIN_SUITES", "CheckLine", "SuiteResult", "run_all", "run_suite",
     "com_family", "com_kernel", "com_observables", "com_pair", "threshold_family",
     "CrossCheckFailure", "DegenerateRandomizationError", "DimensionMismatchError",
     "FactorizationError", "FamilyTooLargeError", "InconsistentBattery", "InputError",
-    "NonFiniteError", "NonSquareError", "NotAPOVMError",
+    "NonFiniteError", "NonGenericElementError", "NonSquareError", "NotAPOVMError",
     "NotATautologyError", "NotCommutingError", "NotHermitianError", "NotUnitaryError",
     "PropositionSyntaxError", "QLogicError", "ScenarioParseError",
     "ScenarioValidationError", "UndefinedAtSpectralPointError", "UnknownNameError",
@@ -150,14 +149,13 @@ __all__ = [
     "BorelSet", "Interval", "Observable", "embed_first", "embed_second", "heisenberg",
     "spectral_decompose",
     "Projector", "common_null_space_projector", "commutes", "join", "join_all", "leq",
-    "logical_equiv", "meet", "meet_all", "ortho",
-    "sasaki_implies",
+    "meet", "meet_all", "ortho", "sasaki_implies",
     "And", "ComO", "EqConst", "EqObs", "Leq", "Not", "ObservableRegistry", "Or",
     "TautologyTransferReport", "Var", "instantiate", "is_classical_tautology",
     "is_contextually_wellformed", "is_standard", "mentioned_observables", "parse",
     "parse_skeleton", "skeleton_variables", "tautology_transfer_check", "truth_value",
     "Scenario", "load_scenario", "scenario_from_document",
-    "ClauseReport", "DensityState", "EquivalenceReport", "JointDistribution", "born_joint",
+    "ClauseReport", "DensityState", "EquivalenceReport", "JointDistribution",
     "common_eigenvector_projector", "cyclic_projector", "determinateness_battery",
     "equal_in_state", "equality_battery", "equality_projector",
     "equivalence_relation_check", "holds", "probability", "projector_probability",

@@ -2,9 +2,8 @@
 
 The commutant is computed as the solution space of the linear system
 [X, G] = 0, [X, G^dag] = 0 over all generators G, vectorized row-major.
-Generated algebras are spans of words in the letters G u G^dag, and their
-commutators are taken over basis x letters; centers are span intersections;
-minimal central projections come from eigenspaces of a random Hermitian
+Generated algebras are spans of words in the letters G u G^dag; centers
+are span intersections; minimal central projections come from eigenspaces of a random Hermitian
 central element, verified and retried if the randomization lands degenerate.
 
 A build solves one commutant system, C(G); the fixpoint C(A) = C(G) of the
@@ -20,6 +19,10 @@ all of A' (the Wedderburn dimension identity in operator form).  The word
 span projects each new direction onto C(G)' (so (ii) checks rounding) by
 X -> R^-1 sum_l c_l X c_l^dag with R = sum_l c_l c_l^dag: the sum maps each
 block of A to m/n times its projection and the off-diagonal blocks to zero.
+
+``abelian_part`` builds no algebra: it reads the abelian central part of the
+algebra an observable family generates off the eigenspaces of one generic
+element of it (its docstring).
 """
 
 from __future__ import annotations
@@ -29,7 +32,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateRandomizationError, DimensionMismatchError, QLogicError
+from .commutators import _members
+from .errors import (
+    DegenerateRandomizationError,
+    DimensionMismatchError,
+    NonGenericElementError,
+    QLogicError,
+)
 from .linalg import (
     _KERNEL_SCALE,
     _svd,
@@ -38,17 +47,25 @@ from .linalg import (
     eigh,
     opnorm,
     opnorms,
+    range_basis,
     require_square,
     singular_cutoff,
     solution_basis,
     unit_norm_stack,
 )
+from .observables import Observable
 from .projectors import Projector
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 # Random central combinations minimal_central_projections draws before it gives
 # up; each one separates the central blocks with probability one.
 _CENTRAL_ATTEMPTS = 5
+
+# The ratio of the weights of successive generators in abelian_part's generic
+# element.  It is transcendental, so it satisfies no integer relation: the
+# label tuples of a commuting family give distinct values.  The golden ratio
+# would not do, since 1 + phi - phi^2 = 0 cancels integer label differences.
+_GENERIC_RATIO = 1.0 / np.pi
 
 
 def _vec(m: np.ndarray) -> np.ndarray:
@@ -261,14 +278,98 @@ def contains(algebra: MatrixAlgebra, matrix) -> bool:
     return _commutes_with(m, np.stack(algebra.commutant_basis), algebra.tol)
 
 
-def letter_commutator_norm(algebra: MatrixAlgebra, right: np.ndarray) -> float:
-    """Largest opnorm([a, g] @ right) over basis elements a and letters g (0.0
-    with none): zero exactly when every [a_i, a_j] @ right is, since [a, gh] =
-    [ag, h] + [ha, g] reaches every word.  One norm call per letter keeps
-    memory at |A| d^2."""
-    basis = np.stack(algebra.basis)
-    return max((float(np.max(opnorms(commutator(basis, g) @ right))) for g in algebra.letters),
-               default=0.0)
+def abelian_part(observables: Sequence[Observable]) -> Projector:
+    """The central projection N onto the blocks where the family's generated
+    algebra A is abelian, built without a basis of A.
+
+    With A = (+) M_{n_k} (x) 1_{m_k}, N is the sum of the blocks with n_k = 1:
+    the joint kernel of A's commutators, so [a, b] rho = 0 for all a, b in A
+    exactly when N rho = rho.  The route reads one element of A:
+
+    1. each X_k is relabelled by its spectral indices, L_k = U_k diag(c) U_k^dag
+       for its eigenbasis U_k and c = 0, 1, ... repeated by multiplicity, over
+       the largest label.  An injective relabelling of the spectrum generates
+       the same algebra, and labels keep their gaps as a split shrinks.
+       Z = sum_k mu^k L_k with mu = ``_GENERIC_RATIO``.
+    2. The eigenspaces V_j of Z, clustered at the cluster width.  A' commutes
+       with Z, so it is block diagonal over them; merging clusters is safe.
+    3. Each V_j must be a single Wedderburn slot, e H for a minimal projection
+       e of A: then it lies in one block, and it is invariant under A exactly
+       when that block has n_k = 1.  e is minimal exactly when the compression
+       e A' e is all of M(V_j), of dimension dim V_j^2.  A one-dimensional V_j
+       is a slot; the others are certified by ``_certify_slots``, and a V_j
+       that is not a slot raises NonGenericElementError.
+    4. N is the sum of the V_j with ||(1 - P_j) L_k P_j|| <= assert_tol for
+       every k.
+
+    The family judges at the tolerance of its first member.
+    """
+    xs = _members(observables)
+    dim, tol = xs[0].dim, xs[0].tol
+    letters = []
+    for x in xs:
+        top = len(x.spectrum) - 1
+        if top:
+            labels = np.repeat(np.arange(top + 1), [p.rank for p in x.eigenprojectors]) / top
+            u = x.eigenbasis()
+            letters.append((u * labels) @ dagger(u))
+    if not letters:
+        return Projector.identity(dim, tol)
+    letters = np.stack(letters)
+    z = np.tensordot(_GENERIC_RATIO ** np.arange(len(letters)), letters, axes=1)
+    values, frame = eigh((z + dagger(z)) / 2.0)
+    width = tol.cluster_tol * max(1.0, float(np.max(np.abs(values))))
+    clusters = _cluster_indices(values, width)
+    moved = dagger(frame) @ letters @ frame
+    _certify_slots(moved, clusters, tol)
+    # The letters in Z's eigenbasis with the clusters' diagonal blocks zeroed:
+    # column block j is then (1 - P_j) L_k P_j.
+    leaks = moved.copy()
+    for idx in clusters:
+        leaks[:, idx[:, None], idx] = 0.0
+    abelian = [idx for idx in clusters
+               if float(np.max(opnorms(leaks[:, :, idx]))) <= tol.assert_tol]
+    return Projector(frame[:, np.concatenate([np.zeros(0, int), *abelian])], dim=dim, tol=tol)
+
+
+def _certify_slots(moved: np.ndarray, clusters: list[np.ndarray], tol: ToleranceConfig) -> None:
+    """Raise NonGenericElementError unless every cluster of two or more
+    eigenvectors is a single Wedderburn slot (``abelian_part``, step 3).
+
+    A' is solved once on the block-diagonal unknowns X_j of the wide clusters
+    only, from [X, L_k] = 0 written in Z's eigenbasis (``moved``); rows that
+    touch no wide cluster vanish and are dropped.  Leaving out the
+    one-dimensional clusters loses nothing: a wide slot lies in a block with
+    m_k >= 2, every eigenspace that meets that block is wide, so the element
+    1 (x) Y of A' on that block is a solution.  Each wide cluster's rows of the
+    solution basis must then have rank dim V_j^2.
+    """
+    wide = [idx for idx in clusters if idx.size > 1]
+    if not wide:
+        return
+    dim = moved.shape[-1]
+    inside = np.zeros(dim, dtype=bool)
+    inside[np.concatenate(wide)] = True
+    rows = inside[:, None] | inside[None, :]
+    eye = np.eye(dim)
+    columns = []
+    for idx in wide:
+        # [X_j, L]_{ab} has coefficient [a = p] L_{qb} - L_{ap} [b = q] at the
+        # unknown (X_j)_{pq}, for p, q in the cluster.
+        coefficients = (np.einsum("ap,kqb->kabpq", eye[:, idx], moved[:, idx, :])
+                        - np.einsum("kap,bq->kabpq", moved[:, :, idx], eye[:, idx]))
+        columns.append(coefficients[:, rows].reshape(-1, idx.size ** 2))
+    system = np.hstack(columns)
+    basis = solution_basis(system, system.shape[1], tol)
+    start = 0
+    for idx in wide:
+        size = idx.size ** 2
+        rank = range_basis(basis[start:start + size], tol).shape[1]
+        if rank != size:
+            raise NonGenericElementError(
+                f"an eigenspace of dimension {idx.size} of the generic element spans more "
+                f"than one Wedderburn slot: the commutant compresses to rank {rank} of {size}")
+        start += size
 
 
 def center(algebra: MatrixAlgebra) -> list[np.ndarray]:

@@ -59,6 +59,11 @@ class DegenerateRandomizationError(QLogicError):
     """Randomized separation failed repeatedly; the randomization kept landing degenerate."""
 
 
+class NonGenericElementError(QLogicError):
+    """An element meant to separate an algebra's blocks has an eigenspace that
+    spans more than one Wedderburn slot."""
+
+
 class CrossCheckFailure(QLogicError):
     """Two independent computation routes disagreed beyond tolerance (kernel bug signal)."""
 

@@ -205,8 +205,3 @@ def commutes(p: Projector, q: Projector) -> bool:
 def sasaki_implies(p: Projector, q: Projector) -> Projector:
     """Sasaki arrow P -> Q = P' v (P ^ Q)."""
     return join(ortho(p), meet(p, q))
-
-
-def logical_equiv(p: Projector, q: Projector) -> Projector:
-    """Biconditional (P -> Q) ^ (Q -> P) with the Sasaki arrow."""
-    return meet(sasaki_implies(p, q), sasaki_implies(q, p))

@@ -9,6 +9,7 @@ on it):
 
 * ``meet_each``: ``meet_all`` of each family in a list, in one batched solve;
 * ``meet_weak_limit``: the meet as the limit of (P Q)^n;
+* ``logical_equiv``: the biconditional of two Sasaki arrows;
 * ``stacked_joint_atoms``: every joint spectral atom, a stacked meet each;
 * ``stacked_crossings``: the joint kernel of the mismatched E_X(a) E_Y(b);
 * ``triple_products``: Tr[E_X(a) E_Y(b) rho], one trace each;
@@ -30,8 +31,15 @@ Generated algebras and cyclic subspaces (``algebras``, ``states``):
 * ``build_by_fixpoint_solve``: the double-commutant build C(C(G));
 * ``commutation_rows`` and ``system_by_kron``: the commutant system by
   ``np.kron``;
+* ``letter_commutator_norm``: the largest ||[a, g] R|| over the basis a and
+  the letters g, the oracle for ``abelian_part`` and the clause it serves;
 * ``max_pair_by_loop``: the largest ||[a_i, a_j] R|| over basis pairs;
 * ``cyclic_by_algebra``: the span of b psi over the generated algebra.
+
+States (``states``):
+
+* ``born_joint``: the joint distribution function of commuting observables
+  at given cuts, as Tr[E_1 ... E_n rho].
 
 Kernels (``linalg``):
 
@@ -45,17 +53,25 @@ import numpy as np
 
 from qlogic import algebras
 from qlogic.algebras import algebra_from_generators, commutant
-from qlogic.errors import DimensionMismatchError, QLogicError
+from qlogic.errors import DimensionMismatchError, NotCommutingError, QLogicError
 from qlogic.linalg import (
     commutator,
     dagger,
+    matrices_commute,
     opnorm,
+    opnorms,
     range_basis,
     require_square,
     singular_cutoff,
     solution_bases,
 )
-from qlogic.projectors import Projector, common_null_space_projector, meet, meet_all
+from qlogic.projectors import (
+    Projector,
+    common_null_space_projector,
+    meet,
+    meet_all,
+    sasaki_implies,
+)
 from qlogic.tolerances import DEFAULT_TOL
 
 
@@ -101,6 +117,11 @@ def meet_weak_limit(p, q, iterations=200):
     for _ in range(iterations):
         power = power @ product
     return (power + dagger(power)) / 2.0
+
+
+def logical_equiv(p, q):
+    """Biconditional (P -> Q) ^ (Q -> P) with the Sasaki arrow."""
+    return meet(sasaki_implies(p, q), sasaki_implies(q, p))
 
 
 def stacked_joint_atoms(xs, dim):
@@ -283,6 +304,16 @@ def system_by_kron(mats, dim):
     return np.vstack(rows) if rows else np.zeros((0, dim * dim), dtype=complex)
 
 
+def letter_commutator_norm(algebra, right):
+    """Largest opnorm([a, g] @ right) over basis elements a and letters g (0.0
+    with none): zero exactly when every [a_i, a_j] @ right is, since [a, gh] =
+    [ag, h] + [ha, g] reaches every word.  One norm call per letter keeps
+    memory at |A| d^2."""
+    basis = np.stack(algebra.basis)
+    return max((float(np.max(opnorms(commutator(basis, g) @ right))) for g in algebra.letters),
+               default=0.0)
+
+
 def max_pair_by_loop(matrices, right):
     """Largest opnorm([a_i, a_j] @ right) over basis pairs: the oracle for
     questions asked over basis x letters."""
@@ -298,6 +329,27 @@ def cyclic_by_algebra(xs, state):
     alg = algebra_from_generators([x.matrix for x in xs], state.dim)
     return Projector.from_basis(np.hstack([b @ state.support.basis for b in alg.basis]),
                                 dim=state.dim)
+
+
+# ---------------------------------------------------------------------------
+# states
+
+
+def born_joint(observables, thresholds, state):
+    """Joint distribution function of commuting observables at the given cuts."""
+    xs = list(observables)
+    if len(xs) != len(thresholds):
+        raise DimensionMismatchError("one threshold per observable required")
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            if not matrices_commute(xs[i].matrix, xs[j].matrix, state.tol):
+                raise NotCommutingError(
+                    f"{xs[i].name} and {xs[j].name} do not commute; no joint distribution function")
+    product = np.eye(state.dim, dtype=complex)
+    for x, cut in zip(xs, thresholds):
+        product = product @ x.threshold(cut).matrix
+    value = complex(np.trace(product @ state.matrix))
+    return float(min(1.0, max(0.0, value.real)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ CRITERIA = [
     ("com-expansion",
      "evaluated com(...) equals the explicit spectral expansion", None),
     ("determinateness",
-     "determinateness clauses agree, with commuting and conflicting controls", 120.0),
+     "determinateness clauses agree, with commuting and conflicting controls", 20.0),
     ("equality",
      "equality projector routes and clauses agree; the Bell witness is certain", None),
     ("equivalence-relation",

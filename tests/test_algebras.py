@@ -4,11 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
 from families import (
+    FAMILY_KINDS,
     family_and_state,
     generator_matrix,
     matrix_family,
@@ -19,6 +20,7 @@ from families import (
 from oracles import (
     build_by_fixpoint_solve,
     closed_by_pairs,
+    letter_commutator_norm,
     max_pair_by_loop,
     span_equal,
     system_by_kron,
@@ -26,21 +28,30 @@ from oracles import (
 from qlogic import algebras
 from qlogic.algebras import (
     MatrixAlgebra,
+    abelian_part,
     algebra_from_generators,
     center,
     commutant,
     contains,
-    letter_commutator_norm,
     minimal_central_projections,
 )
-from qlogic.errors import DimensionMismatchError, QLogicError
+from qlogic.commutators import com_observables
+from qlogic.errors import (
+    CrossCheckFailure,
+    DimensionMismatchError,
+    FamilyTooLargeError,
+    NonGenericElementError,
+    QLogicError,
+)
 from qlogic.linalg import commutator, dagger, opnorm
+from qlogic.observables import spectral_decompose
 from qlogic.projectors import Projector
 from qlogic.sampling import (
     haar_unitary,
     random_density,
     random_vector_state,
     rng_from_seed,
+    state_supported_in,
 )
 from qlogic.tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -542,3 +553,97 @@ def test_split_pairs_at_d8_that_lost_a_generator_are_refused():
     seeds = (0, 1, 4, 5, 9, 10, 11, 12, 13, 15)
     outcomes = [_refused_or_whole(split_pair(8, 1e-7, seed), 8) for seed in seeds]
     assert outcomes == ["refused"] * len(seeds)
+
+
+# ---------------------------------------------------------------------------
+# the abelian central part from one generic element
+
+
+def _block_diagonal(*blocks):
+    """The block-diagonal matrix of the given square blocks."""
+    blocks = [np.atleast_2d(np.asarray(b, dtype=complex)) for b in blocks]
+    out = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=complex)
+    at = 0
+    for b in blocks:
+        out[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return out
+
+
+def test_abelian_part_of_m2_tensor_identity_is_zero():
+    # The eigenspaces of Z are two-dimensional, v (x) C^2: single slots of
+    # the one block M_2 (x) 1_2, which the commutant solve certifies.
+    xs = [spectral_decompose(name, np.kron(g, np.eye(2)))
+          for name, g in (("X", SIGMA_Z), ("Y", SIGMA_X))]
+    assert abelian_part(xs).rank == 0
+
+
+def test_abelian_part_keeps_the_abelian_blocks_of_a_block_family():
+    # Blocks: a scalar pair on two coordinates, M_2 on the next two, and one
+    # more coordinate.
+    x = spectral_decompose("X", _block_diagonal(3.0 * np.eye(2), SIGMA_Z, -2.0))
+    y = spectral_decompose("Y", _block_diagonal(5.0 * np.eye(2), SIGMA_X, 1.0))
+    n = abelian_part([x, y])
+    expected = np.diag([1.0, 1.0, 0.0, 0.0, 1.0])
+    assert n.rank == 3 and opnorm(n.matrix - expected) <= DEFAULT_TOL.assert_tol
+
+
+def test_a_non_generic_element_is_refused_not_misread(monkeypatch):
+    # X = diag(0, 1, 2) and Y = |+><+| (+) 0 generate M_2 (+) C.  With the
+    # labels 0, 1/2, 1 of X and a weight ratio of 2/3, Z takes the value 1 on
+    # the third coordinate and as an eigenvalue on the M_2 block, so one
+    # eigenspace of Z spans two slots; at the default ratio the two split.
+    xs = [spectral_decompose("X", np.diag([0.0, 1.0, 2.0])),
+          spectral_decompose("Y", _block_diagonal(np.full((2, 2), 0.5), 0.0))]
+    n = abelian_part(xs)
+    assert n.rank == 1 and opnorm(n.matrix - np.diag([0.0, 0.0, 1.0])) <= 1e-12
+    monkeypatch.setattr(algebras, "_GENERIC_RATIO", 2.0 / 3.0)
+    with pytest.raises(NonGenericElementError, match="more than one Wedderburn slot"):
+        abelian_part(xs)
+
+
+def test_abelian_part_of_scalars_is_the_identity_and_needs_a_family():
+    assert abelian_part([spectral_decompose("S", 2.0 * np.eye(3))]).rank == 3
+    with pytest.raises(FamilyTooLargeError):
+        abelian_part([])
+    with pytest.raises(DimensionMismatchError):
+        abelian_part([spectral_decompose("X", SIGMA_X), spectral_decompose("S", np.eye(3))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=2, max_value=8),
+       count=st.integers(min_value=1, max_value=3),
+       kind=st.sampled_from(FAMILY_KINDS))
+@example(seed=3128, dim=2, count=1, kind="split")
+def test_abelian_part_judges_as_the_word_span_and_equals_com(seed, dim, count, kind):
+    # The clause N rho = rho has the word span's verdict on the family's own
+    # state and on a state inside N, and N is com wherever com returns.
+    rng = rng_from_seed(seed)
+    xs, state = family_and_state(kind, dim, count, rng)
+    dim = xs[0].dim
+    n = abelian_part(xs)
+    limit = DEFAULT_TOL.assert_tol
+    try:
+        com = com_observables(xs)
+    except CrossCheckFailure:
+        # Only a near-degenerate family may be refused by com's routes.
+        assert kind == "split"
+    else:
+        assert opnorm(n.matrix - com.matrix) <= limit
+    rights = [state.matrix]
+    if n.rank:
+        rights.append(state_supported_in(n, rng).matrix)
+    # The word span of the eigenprojectors: the algebra the spectral data
+    # generate.  The raw matrices would not do: a split near the cluster
+    # width is two points to the spectral data and one to the word span's
+    # rank cut, or the other way round.
+    try:
+        alg = algebra_from_generators([p.matrix for x in xs for p in x.eigenprojectors], dim)
+    except QLogicError:
+        # Only a near-degenerate family may be refused by the build.
+        assert kind == "split"
+        return
+    for right in rights:
+        assert ((opnorm(right - n.matrix @ right) <= limit)
+                == (letter_commutator_norm(alg, right) <= limit))

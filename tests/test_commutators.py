@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import _ONE_GIB, SIGMA_X, SIGMA_Z, _run_under_one_gib, x_plus, z_up
 from families import FAMILY_KINDS, observable_family, projector_family, projector_pair
-from oracles import algebra_route, all_pairs_route, stacked_com_kernel
+from oracles import algebra_route, all_pairs_route, letter_commutator_norm, stacked_com_kernel
 from qlogic import commutators, linalg, observables, projectors
 from qlogic.algebras import (
     algebra_from_generators,
     contains,
-    letter_commutator_norm,
     minimal_central_projections,
 )
 from qlogic.commutators import (

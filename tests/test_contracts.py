@@ -132,6 +132,7 @@ OTHER_ERRORS = {
     errors.FactorizationError,
     errors.NotCommutingError,
     errors.DegenerateRandomizationError,
+    errors.NonGenericElementError,
     errors.CrossCheckFailure,
     errors.InconsistentBattery,
     errors.NotATautologyError,

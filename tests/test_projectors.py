@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import x_plus, z_up
-from oracles import meet_weak_limit
+from oracles import logical_equiv, meet_weak_limit
 from qlogic.errors import DimensionMismatchError
 from qlogic.linalg import commutator, opnorm
 from qlogic.projectors import (
@@ -18,7 +18,6 @@ from qlogic.projectors import (
     join,
     join_all,
     leq,
-    logical_equiv,
     meet,
     meet_all,
     ortho,
