@@ -125,22 +125,33 @@ def com_observables(observables: Sequence[Observable]) -> Projector:
     projector.  Disagreement raises CrossCheckFailure since both characterize
     the same projection.
     """
+    return _com_and_atoms(observables)[0]
+
+
+def _com_and_atoms(observables: Sequence[Observable]
+                   ) -> tuple[Projector, dict[tuple[int, ...], np.ndarray]]:
+    """``com_observables`` together with the joint atoms its production route
+    spans, for callers that read the atoms too."""
     xs = _members(observables)
     tol = xs[0].tol
-    spectral_route = _atom_route(xs)
+    spectral_route, atoms = _atom_route(xs)
     invariant_route = _invariant_route([x.matrix for x in xs], xs[0].dim, tol)
     gap = opnorm(spectral_route.matrix - invariant_route.matrix)
     if gap > tol.assert_tol:
         raise CrossCheckFailure(
             f"commutator routes disagree by {gap:.3e} on {[x.name for x in xs]}")
-    return spectral_route
+    return spectral_route, atoms
 
 
-def _atom_route(xs: Sequence[Observable]) -> Projector:
-    """The span of the nonzero joint spectral atoms of a family of one dimension."""
+def _atom_route(xs: Sequence[Observable]
+                ) -> tuple[Projector, dict[tuple[int, ...], np.ndarray]]:
+    """The span of the nonzero joint spectral atoms of a family of one
+    dimension, and the atoms (``joint_atoms``)."""
     dim = xs[0].dim
-    atoms = joint_atoms(xs, dim).values()
-    return Projector.from_basis(np.hstack([np.zeros((dim, 0)), *atoms]), dim=dim, tol=xs[0].tol)
+    atoms = joint_atoms(xs, dim)
+    span = Projector.from_basis(np.hstack([np.zeros((dim, 0)), *atoms.values()]),
+                                dim=dim, tol=xs[0].tol)
+    return span, atoms
 
 
 def _invariant_route(matrices: Sequence[np.ndarray], dim: int, tol: ToleranceConfig) -> Projector:

@@ -268,8 +268,10 @@ def _lookup(mapping: Mapping[float, float], value: float, atol: float) -> float:
     raise KeyError(value)
 
 
-# Entries per stacked solve in ``eigenspace_meets``: a generic pair at d = 128
-# makes d^2 systems of d x 1, which are solved in chunks of this size.
+# Entries per stacked solve in ``eigenspace_meets``.  The screen keeps at most
+# 2 width(B_i) systems of d x width(B_i) per basis, so a simple pair keeps at
+# most 2d systems of d x 1 per step and splits into chunks only beyond
+# d = 724; wider bases and many-block targets are split the same way.
 _MEET_CHUNK = 1 << 20
 
 
@@ -278,7 +280,7 @@ def eigenspace_meets(bases: Sequence[np.ndarray], x: Observable,
                      tol: ToleranceConfig) -> list[np.ndarray]:
     """Orthonormal basis of range(B_i) ^ E_X(S) for each (i, S) in ``targets``,
     where B_i = ``bases[i]`` has orthonormal columns and S holds indices into
-    X's spectrum.
+    X's spectrum; an index out of range raises DimensionMismatchError.
 
     Each meet is solved on B_i's own basis: B_i c lies in E_X(S) exactly when
     (1 - E_X(S)) B_i c = 0, which in X's eigencoordinates U^dag is the rows of
@@ -288,6 +290,18 @@ def eigenspace_meets(bases: Sequence[np.ndarray], x: Observable,
     singular values of a system are the sines of the principal angles between
     range(B_i) and E_X(S) (Bjorck & Golub, Math. Comp. 27 (1973) 579-594).
     One product U^dag [B_1 ... B_k] gives every system.
+
+    The same product screens the targets.  With w_a = ||U_a^dag B_i||_F^2 the
+    weight of B_i in X's block a, every unit c has ||(1 - E_X(S)) B_i c||^2 =
+    1 - ||E_X(S) B_i c||^2 >= 1 - sum_{a in S} w_a, which needs B_i's columns
+    and U orthonormal.  A target whose blocks hold less than half the weight
+    therefore has every singular value above 1/sqrt(2), above the floored
+    rank cutoff rank_rel_tol * width(B_i) whenever that cutoff is below 1/2
+    (nine orders of magnitude below at the default tolerance): its kernel is
+    empty, and it is not solved.  A cutoff of 1/2 or more solves every target.  The kept systems are factored one by one in the same batched
+    call, so every basis has the bits of the unscreened solve.  The weights of
+    B_i sum to width(B_i), so at most 2 width(B_i) single blocks pass: one
+    ``joint_atoms`` step solves at most 2d systems, not (atoms x eigenvalues).
     """
     dim = x.dim
     for b in bases:
@@ -296,10 +310,22 @@ def eigenspace_meets(bases: Sequence[np.ndarray], x: Observable,
     rows = list(itertools.accumulate((p.rank for p in x.eigenprojectors), initial=0))
     columns = list(itertools.accumulate((b.shape[1] for b in bases), initial=0))
     coords = dagger(x.eigenbasis()) @ np.hstack([*bases, np.zeros((dim, 0))])
+    weights = _row_block_sums(_row_block_sums(np.abs(coords) ** 2, rows).T, columns).tolist()
+    points = set(range(len(x.spectrum)))
     groups: dict[int, list[int]] = {}
-    for k, (i, _) in enumerate(targets):
-        if columns[i + 1] > columns[i]:
-            groups.setdefault(columns[i + 1] - columns[i], []).append(k)
+    for k, (i, blocks) in enumerate(targets):
+        unique = set(blocks)
+        if not 0 <= i < len(bases) or not unique <= points:
+            raise DimensionMismatchError(
+                f"target {(i, tuple(blocks))} names a basis or block out of range: "
+                f"{len(bases)} bases, {len(points)} spectral points of {x.name}")
+        width = columns[i + 1] - columns[i]
+        # Screened only while the cutoff stays below 1/2, a factor sqrt(2)
+        # under a skipped system's smallest singular value; a loose
+        # rank_rel_tol or a very wide basis would reach it.
+        if width and (sum(map(weights[i].__getitem__, unique)) >= 0.5
+                      or tol.rank_rel_tol * width >= 0.5):
+            groups.setdefault(width, []).append(k)
     meets = [np.zeros((dim, 0), dtype=complex)] * len(targets)
     for width, members in groups.items():
         step = max(1, _MEET_CHUNK // (dim * width))
@@ -317,6 +343,16 @@ def eigenspace_meets(bases: Sequence[np.ndarray], x: Observable,
     return meets
 
 
+def _row_block_sums(values: np.ndarray, edges: Sequence[int]) -> np.ndarray:
+    """Sums of the rows of ``values`` over each range edges[k]:edges[k + 1],
+    as differences of one prefix sum: an empty range (a rank-zero block, a
+    basis of no columns) sums to zero, where ``np.add.reduceat`` would give it
+    a lone row or refuse it."""
+    prefix = np.zeros((len(values) + 1, *values.shape[1:]))
+    np.cumsum(values, axis=0, out=prefix[1:])
+    return prefix[edges[1:]] - prefix[edges[:-1]]
+
+
 def joint_atoms(observables: Sequence[Observable], dim: int) -> dict[tuple[int, ...], np.ndarray]:
     """The nonzero joint spectral atoms E_1(v_1) ^ ... ^ E_n(v_n) of a family,
     as orthonormal bases keyed by spectral index tuples in ``itertools.product``
@@ -325,7 +361,10 @@ def joint_atoms(observables: Sequence[Observable], dim: int) -> dict[tuple[int, 
     The atoms of the first k members are met with the next member's
     eigenprojectors by ``eigenspace_meets``.  Nonzero atoms are orthogonal, so
     each step meets at most d of them, and the family judges at the tolerance
-    of its first member.
+    of its first member.  The atoms' bases are orthonormal, so the kernel's
+    weight screen holds: of the (atoms x eigenvalues) pairs of a step, only
+    those where the eigenspace holds at least half an atom's weight are
+    solved, at most 2 rank(atom) per atom and 2d per step.
     """
     xs = list(observables)
     for x in xs:

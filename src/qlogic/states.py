@@ -17,13 +17,14 @@ products of full d x d projector matrices.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebras import abelian_part
-from .commutators import com_kernel, com_observables, threshold_family
+from .commutators import _com_and_atoms, com_kernel, com_observables, threshold_family
 from .errors import (
     CrossCheckFailure,
     DimensionMismatchError,
@@ -268,7 +269,7 @@ def determinateness_battery(observables: Sequence[Observable],
     """
     t = state.tol
     xs = list(observables)
-    com = com_observables(xs)
+    com, atoms = _com_and_atoms(xs)
     cyclic = cyclic_projector(xs, state)
     abelian = abelian_part(xs)
 
@@ -300,7 +301,7 @@ def determinateness_battery(observables: Sequence[Observable],
     clauses["compressions_commute"] = worst <= t.assert_tol
     residuals["compressions_commute"] = worst
 
-    masses, measure_residual, measure_ok = _grid_measure(xs, state, t)
+    masses, measure_residual, measure_ok = _grid_measure(xs, atoms, state, t)
     clauses["product_measure"] = measure_ok
     residuals["product_measure"] = measure_residual
 
@@ -316,24 +317,28 @@ def _mass(basis: np.ndarray, state: DensityState) -> float:
     return float(np.real(np.vdot(basis, state.matrix @ basis)))
 
 
-def _grid_measure(xs: list[Observable], state: DensityState,
+def _grid_measure(xs: list[Observable], atoms: dict[tuple[int, ...], np.ndarray],
+                  state: DensityState,
                   t: ToleranceConfig) -> tuple[dict[tuple[float, ...], float], float, bool]:
     """Spectral-atom product masses plus their worst additivity violation.
 
-    Summing one axis out of the grid must give the mass of the meet over the
-    remaining atoms.  Each grid (the full one, then one per summed-out axis)
-    is one ``joint_atoms`` call; a zero atom has mass zero.
+    ``atoms`` are the family's nonzero joint atoms (``joint_atoms``), which
+    the commutator's production route already solved.  Summing one axis out
+    of the grid must give the mass of the meet over the remaining atoms; each
+    of those grids is its own ``joint_atoms`` call.  A zero atom has mass zero.
     """
     shape = tuple(len(x.spectrum) for x in xs)
 
-    def grid_masses(family: list[Observable]) -> np.ndarray:
-        atoms = joint_atoms(family, state.dim)
-        grid = itertools.product(*(range(len(x.spectrum)) for x in family))
-        return np.array([_mass(atoms[k], state) if k in atoms else 0.0 for k in grid])
+    def grid_masses(found: dict[tuple[int, ...], np.ndarray],
+                    axes: tuple[int, ...]) -> np.ndarray:
+        grid = np.zeros(math.prod(axes))
+        if found:
+            np.put(grid, np.ravel_multi_index(tuple(zip(*found)), axes),
+                   [_mass(basis, state) for basis in found.values()])
+        return grid
 
-    grid = grid_masses(xs)
-    masses = {tuple(x.spectrum[k] for x, k in zip(xs, combo)): float(value)
-              for combo, value in zip(itertools.product(*map(range, shape)), grid)}
+    grid = grid_masses(atoms, shape)
+    masses = dict(zip(itertools.product(*(x.spectrum for x in xs)), grid.tolist()))
     worst = max(0.0, -float(np.min(grid)), abs(float(sum(masses.values())) - 1.0))
     grid = grid.reshape(shape)
     for j in range(len(xs)):
@@ -342,7 +347,7 @@ def _grid_measure(xs: list[Observable], state: DensityState,
         summed = np.zeros(shape[:j] + shape[j + 1:])
         for k in range(shape[j]):
             summed = summed + np.take(grid, k, axis=j)
-        direct = grid_masses(xs[:j] + xs[j + 1:])
+        direct = grid_masses(joint_atoms(xs[:j] + xs[j + 1:], state.dim), summed.shape)
         worst = max(worst, float(np.max(np.abs(summed.ravel() - direct))))
     return masses, worst, worst <= t.assert_tol
 

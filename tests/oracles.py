@@ -7,6 +7,8 @@ they check the routes that replaced them.
 Meets and spectral atoms (``observables.eigenspace_meets`` and what is built
 on it):
 
+* ``unscreened_meets``: ``eigenspace_meets`` without its weight screen, every
+  target solved;
 * ``meet_each``: ``meet_all`` of each family in a list, in one batched solve;
 * ``meet_weak_limit``: the meet as the limit of (P Q)^n;
 * ``logical_equiv``: the biconditional of two Sasaki arrows;
@@ -51,7 +53,7 @@ import itertools
 
 import numpy as np
 
-from qlogic import algebras
+from qlogic import algebras, observables
 from qlogic.algebras import algebra_from_generators, commutant
 from qlogic.errors import DimensionMismatchError, NotCommutingError, QLogicError
 from qlogic.linalg import (
@@ -77,6 +79,38 @@ from qlogic.tolerances import DEFAULT_TOL
 
 # ---------------------------------------------------------------------------
 # meets and spectral atoms
+
+
+def unscreened_meets(bases, x, targets, tol):
+    """``observables.eigenspace_meets`` as it was before the weight screen:
+    one zeroed-row system per target, every system with one column count in
+    one ``solution_bases`` call, chunked at ``observables._MEET_CHUNK``."""
+    dim = x.dim
+    for b in bases:
+        if b.shape[0] != dim:
+            raise DimensionMismatchError(f"basis in dimension {b.shape[0]}, expected {dim}")
+    rows = list(itertools.accumulate((p.rank for p in x.eigenprojectors), initial=0))
+    columns = list(itertools.accumulate((b.shape[1] for b in bases), initial=0))
+    coords = dagger(x.eigenbasis()) @ np.hstack([*bases, np.zeros((dim, 0))])
+    groups = {}
+    for k, (i, _) in enumerate(targets):
+        if columns[i + 1] > columns[i]:
+            groups.setdefault(columns[i + 1] - columns[i], []).append(k)
+    meets = [np.zeros((dim, 0), dtype=complex)] * len(targets)
+    for width, members in groups.items():
+        step = max(1, observables._MEET_CHUNK // (dim * width))
+        for lo in range(0, len(members), step):
+            chunk = members[lo:lo + step]
+            systems = np.empty((len(chunk), dim, width), dtype=complex)
+            for system, k in zip(systems, chunk):
+                i, blocks = targets[k]
+                system[:] = coords[:, columns[i]:columns[i + 1]]
+                for a in blocks:
+                    system[rows[a]:rows[a + 1]] = 0.0
+            for k, kept in zip(chunk, solution_bases(systems, width, tol)):
+                if kept.shape[1]:
+                    meets[k] = bases[targets[k][0]] @ kept
+    return meets
 
 
 def meet_each(families, dim):

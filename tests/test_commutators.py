@@ -206,7 +206,7 @@ def test_com_observables_returns_the_spectral_route_bits(rng):
     block = random_block_observables([2, 3], [False, True], 2, rng)
     for xs in (pauli, commuting, block):
         ours = com_observables(xs)
-        spectral = commutators._atom_route(xs)
+        spectral = commutators._atom_route(xs)[0]
         assert np.array_equal(ours.basis, spectral.basis)
         assert np.array_equal(ours.matrix, spectral.matrix)
 
@@ -227,7 +227,7 @@ def test_com_observables_runs_no_triple_product_kernel(monkeypatch):
        kind=st.sampled_from(FAMILY_KINDS))
 def test_atom_route_matches_the_threshold_kernel(seed, dim, count, kind):
     xs = observable_family(kind, dim, count, rng_from_seed(seed))
-    ours, oracle = commutators._atom_route(xs), com_kernel(threshold_family(xs))
+    ours, oracle = commutators._atom_route(xs)[0], com_kernel(threshold_family(xs))
     assert ours.rank == oracle.rank
     assert opnorm(ours.matrix - oracle.matrix) <= DEFAULT_TOL.assert_tol
 
@@ -329,9 +329,10 @@ def test_d32_generic_pair_com_fits_in_one_gib():
     assert seconds < 3.0
 
 
-# The joint atoms of a simple-spectrum pair at d = 128 are d^2 systems of
-# d x 1, solved in chunks; the two-stage com_kernel of its 256 thresholds
-# would stack 4.2M x 128 pairwise commutators (about 8 GiB).
+# The joint atoms of a simple-spectrum pair at d = 128 screen d^2 (atom,
+# eigenvalue) pairs and solve at most 2d systems of d x 1; the two-stage
+# com_kernel of its 256 thresholds would stack 4.2M x 128 pairwise
+# commutators (about 8 GiB).
 _D128_CHILD = _ONE_GIB + textwrap.dedent("""
     from qlogic.commutators import com_observables
     from qlogic.sampling import haar_unitary, observable_from_eigenbasis

@@ -1,6 +1,7 @@
 """Observables: spectral resolution, Borel descriptors, functional calculus."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import SIGMA_X, SIGMA_Z, diag_obs
 from families import FAMILY_KINDS, observable_family
-from oracles import stacked_joint_atoms
-from qlogic import observables
+from oracles import stacked_joint_atoms, unscreened_meets
+from qlogic import observables, states
 from qlogic.errors import (
     DimensionMismatchError,
     NotHermitianError,
@@ -29,8 +30,8 @@ from qlogic.observables import (
     spectral_decompose,
 )
 from qlogic.projectors import Projector
-from qlogic.sampling import haar_unitary, rng_from_seed
-from qlogic.tolerances import DEFAULT_TOL
+from qlogic.sampling import haar_unitary, observable_from_eigenbasis, rng_from_seed
+from qlogic.tolerances import DEFAULT_TOL, ToleranceConfig
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +248,116 @@ def test_joint_atoms_of_no_observable_and_of_mixed_dimensions():
         joint_atoms([diag_obs("A", 0.0, 1.0), diag_obs("B", 0.0, 1.0, 2.0)], 2)
     with pytest.raises(DimensionMismatchError):
         eigenspace_meets([np.eye(3)], diag_obs("A", 0.0, 1.0), [(0, (0,))], DEFAULT_TOL)
+
+
+def test_eigenspace_meets_refuse_targets_out_of_range():
+    x = diag_obs("A", 0.0, 1.0, 2.0)
+    for target in [(0, (5,)), (0, (-1,)), (1, (0,)), (-1, (0,))]:
+        with pytest.raises(DimensionMismatchError):
+            eigenspace_meets([np.eye(3)[:, :1]], x, [target], DEFAULT_TOL)
+
+
+def _counting_solves(monkeypatch):
+    """Patch the kernel's batched solver; the returned list holds one count
+    of solved systems per ``eigenspace_meets`` call."""
+    steps = []
+    meets, solve = observables.eigenspace_meets, observables.solution_bases
+
+    def counted_meets(*args):
+        steps.append(0)
+        return meets(*args)
+
+    def counted_solve(systems, *args):
+        steps[-1] += len(systems)
+        return solve(systems, *args)
+
+    monkeypatch.setattr(observables, "eigenspace_meets", counted_meets)
+    monkeypatch.setattr(observables, "solution_bases", counted_solve)
+    return steps
+
+
+def test_eigenspace_meets_match_the_unscreened_solve_on_edge_targets(monkeypatch):
+    x = diag_obs("A", 0.0, 1.0, 2.0, 3.0)
+    plane = np.zeros((4, 2), dtype=complex)
+    plane[0, 0] = 1.0
+    plane[1:3, 1] = [np.sqrt(0.6), np.sqrt(0.4)]
+    ray = np.array([[np.sqrt(0.7)], [np.sqrt(0.3)], [0.0], [0.0]], dtype=complex)
+    targets = [(0, ()), (0, (0, 1, 2, 3)), (0, (1,)), (0, (0, 1)), (0, (2, 2)),
+               (1, (1, 1)), (1, (0,))]
+    oracle = unscreened_meets([plane, ray], x, targets, DEFAULT_TOL)
+    steps = _counting_solves(monkeypatch)
+    ours = observables.eigenspace_meets([plane, ray], x, targets, DEFAULT_TOL)
+    assert [b.shape[1] for b in ours] == [0, 2, 0, 1, 0, 0, 0]
+    assert all(np.array_equal(a, b) for a, b in zip(ours, oracle))
+    # S = {} and {2, 2} and {1, 1} hold under half their basis' weight (the
+    # repeated block counted once), so three of the seven are not solved.
+    assert steps == [4]
+
+
+def test_eigenspace_meets_with_an_empty_block_and_an_empty_basis():
+    x = observable_from_eigenbasis("A", np.eye(3, dtype=complex), [0.0, 1.0, 2.0], [1, 2, 0])
+    bases = [np.eye(3, dtype=complex)[:, :1], np.zeros((3, 0), dtype=complex)]
+    targets = [(0, (2,)), (0, (0, 2)), (1, (0,)), (0, (1,))]
+    ours = eigenspace_meets(bases, x, targets, DEFAULT_TOL)
+    oracle = unscreened_meets(bases, x, targets, DEFAULT_TOL)
+    assert [b.shape[1] for b in ours] == [0, 1, 0, 0]
+    assert all(np.array_equal(a, b) for a, b in zip(ours, oracle))
+
+
+def test_eigenspace_meets_solve_every_target_when_the_cutoff_reaches_the_screen():
+    # At rank_rel_tol 0.4 a width-2 system's cutoff is 0.8, above the
+    # 1/sqrt(2) a skipped system is sure to exceed: the direction with weight
+    # 0.4 in block 2 has a singular value of sqrt(0.6) ~ 0.77 and is kept.
+    loose = ToleranceConfig(rank_rel_tol=0.4, assert_tol=0.9, cluster_tol=0.5)
+    x = diag_obs("A", 0.0, 1.0, 2.0, 3.0)
+    plane = np.zeros((4, 2), dtype=complex)
+    plane[0, 0] = 1.0
+    plane[1:3, 1] = [np.sqrt(0.6), np.sqrt(0.4)]
+    ours = eigenspace_meets([plane], x, [(0, (2,))], loose)
+    oracle = unscreened_meets([plane], x, [(0, (2,))], loose)
+    assert ours[0].shape[1] == 1
+    assert np.array_equal(ours[0], oracle[0])
+
+
+def test_joint_atoms_solve_at_most_2d_systems_per_step(monkeypatch):
+    steps = _counting_solves(monkeypatch)
+    # The unscreened kernel solves all 16 x 16 (atom, eigenvalue) pairs.
+    joint_atoms(observable_family("simple", 16, 2, rng_from_seed(4)), 16)
+    assert len(steps) == 1 and steps[0] <= 32
+    for kind in ("simple", "generic", "block"):
+        steps.clear()
+        xs = observable_family(kind, 12, 3, rng_from_seed(5))
+        joint_atoms(xs, 12)
+        assert len(steps) == 2 and max(steps) <= 24
+
+
+def _unscreened(fn, *args):
+    """``fn(*args)`` with every kernel call routed to the unscreened oracle."""
+    with mock.patch.object(observables, "eigenspace_meets", unscreened_meets), \
+            mock.patch.object(states, "eigenspace_meets", unscreened_meets):
+        return fn(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=1, max_value=10),
+       count=st.integers(min_value=1, max_value=3),
+       kind=st.sampled_from(FAMILY_KINDS))
+def test_screened_meets_have_the_bits_of_the_unscreened_solve(seed, dim, count, kind):
+    xs = observable_family(kind, dim, count, rng_from_seed(seed))
+    dim = xs[0].dim
+    ours, oracle = joint_atoms(xs, dim), _unscreened(joint_atoms, xs, dim)
+    assert list(ours) == list(oracle)
+    assert all(np.array_equal(ours[k], oracle[k]) for k in ours)
+    x, y = (xs * 2)[:2]
+    ours = states._crossing_route(x, y, DEFAULT_TOL)
+    oracle = _unscreened(states._crossing_route, x, y, DEFAULT_TOL)
+    assert np.array_equal(ours.basis, oracle.basis)
+    pairs = list(itertools.product(range(len(x.spectrum)), range(len(y.spectrum))))
+    ours = states._matched_meets(x, y, pairs)
+    oracle = _unscreened(states._matched_meets, x, y, pairs)
+    assert len(ours) == len(oracle)
+    assert all(np.array_equal(a, b) for a, b in zip(ours, oracle))
 
 
 @settings(max_examples=150, deadline=None)

@@ -27,7 +27,7 @@ from qlogic.errors import (
     QLogicError,
 )
 from qlogic.linalg import opnorm
-from qlogic.observables import embed_first, embed_second, spectral_decompose
+from qlogic.observables import embed_first, embed_second, joint_atoms, spectral_decompose
 from qlogic.projectors import Projector
 from qlogic.propositions import ObservableRegistry, parse
 from qlogic.sampling import (
@@ -377,7 +377,7 @@ _FAMILY_KINDS = ["commuting", "determinate-block", "generic", "agreeing"]
        kind=st.sampled_from(_FAMILY_KINDS))
 def test_grid_measure_matches_the_per_meet_loop(seed, dim, count, kind):
     xs, state = family_and_state(kind, dim, count, rng_from_seed(seed))
-    masses, worst, ok = states._grid_measure(xs, state, DEFAULT_TOL)
+    masses, worst, ok = states._grid_measure(xs, joint_atoms(xs, state.dim), state, DEFAULT_TOL)
     expected_masses, expected_worst, expected_ok = grid_measure_by_meet_all(xs, state, DEFAULT_TOL)
     limit = DEFAULT_TOL.assert_tol
     assert list(masses) == list(expected_masses)
