@@ -3,7 +3,8 @@
 Independent routes to the same object:
 
 * ``com_family``: the lattice formula, a join of meets over sign
-  assignments of the family members;
+  assignments of the family members, with the complements solved in one
+  batched kernel call and the 2^k meets in another;
 * ``com_pair``: for two projectors, the kernel of [P, Q], which by Halmos'
   two-subspace theorem (Trans. AMS 144 (1969) 381-389) is the part of the
   space where P and Q commute; it builds no meet;
@@ -38,7 +39,13 @@ import numpy as np
 from .errors import CrossCheckFailure, DimensionMismatchError, FamilyTooLargeError
 from .linalg import commutator, dagger, opnorm, solution_basis, unit_norm_stack
 from .observables import Observable, joint_atoms
-from .projectors import Projector, common_null_space_projector, join_all, meet_all, ortho
+from .projectors import (
+    Projector,
+    common_null_space_projector,
+    join_all,
+    meet_each,
+    ortho_each,
+)
 from .tolerances import ToleranceConfig
 
 _MAX_FAMILY = 12
@@ -55,19 +62,20 @@ def com_pair(p: Projector, q: Projector) -> Projector:
 def com_family(family: Sequence[Projector]) -> Projector:
     """Commutator of a finite family: join over all sign maps of the meets.
 
-    Exponential in the family size by construction; families larger than
-    twelve are rejected rather than silently approximated.
+    The k complements are solved in one batched kernel call (``ortho_each``)
+    and the 2^k meets in another (``meet_each``); each system is factored on
+    its own, so the result has the bits of one ``ortho`` and one ``meet_all``
+    per solve.  Exponential in the family size by construction; families
+    larger than twelve are rejected rather than silently approximated.
     """
     members = _members(family)
     if len(members) > _MAX_FAMILY:
         raise FamilyTooLargeError(
             f"family of size {len(members)} exceeds the sign-map expansion cap {_MAX_FAMILY}")
+    signed = list(zip(members, ortho_each(members)))
     dim = members[0].dim
-    signed = [(p, ortho(p)) for p in members]
-    meets = []
-    for signs in itertools.product((0, 1), repeat=len(members)):
-        chosen = [pair[s] for pair, s in zip(signed, signs)]
-        meets.append(meet_all(chosen, dim=dim))
+    meets = meet_each([[pair[s] for pair, s in zip(signed, signs)]
+                       for signs in itertools.product((0, 1), repeat=len(members))], dim)
     return join_all(meets, dim=dim)
 
 

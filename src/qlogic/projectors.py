@@ -1,8 +1,8 @@
 """Orthogonal projectors and their lattice operations.
 
 Projectors are the truth values of everything downstream.  Meets go through
-one kernel computation (the kernel of a sum of positive operators is the
-intersection of the kernels), joins are the De Morgan dual, and every
+one kernel, ``meet_each`` (the joint kernel of the stacked 1 - P_i is the
+intersection of the ranges), joins are the De Morgan dual, and every
 projector is rebuilt as B B^dag from an orthonormal range basis so
 idempotence never drifts.  A projector carries the tolerance it was built at,
 and every operation judges at the tolerance of its first operand, which its
@@ -24,6 +24,7 @@ from .linalg import (
     range_basis,
     require_square,
     solution_basis,
+    solution_bases,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -142,17 +143,66 @@ def meet(p: Projector, q: Projector) -> Projector:
 
 
 def meet_all(projectors: Sequence[Projector], dim: int | None = None) -> Projector:
-    """Meet of a finite family in one kernel computation; empty family gives
-    the ``DEFAULT_TOL`` identity."""
+    """Meet of a finite family in one kernel computation: ``meet_each`` of the
+    stack of one.  An empty family gives the ``DEFAULT_TOL`` identity, and a
+    ``dim`` the members do not live in raises."""
     projectors = list(projectors)
-    if not projectors:
-        if dim is None:
+    if dim is None:
+        if not projectors:
             raise DimensionMismatchError("meet of an empty family needs an explicit dimension")
-        return Projector.identity(dim)
-    d = _require_same_dim(*projectors)
-    eye = np.eye(d, dtype=complex)
-    return common_null_space_projector([eye - p.matrix for p in projectors], d,
-                                       projectors[0].tol)
+        dim = projectors[0].dim
+    return meet_each([projectors], dim)[0]
+
+
+# Entries per stacked solve in ``meet_each``: 16 MiB of systems at a time.
+_MEET_CHUNK = 1 << 20
+
+
+def meet_each(families: Sequence[Sequence[Projector]], dim: int) -> list[Projector]:
+    """``meet_all`` of each family in a list of families of one size on C^dim.
+
+    A family's meet is the joint kernel of its stacked 1 - P_i, judged at the
+    tolerance of its first member; an empty family gives the ``DEFAULT_TOL``
+    identity.  Each distinct member's 1 - P is formed once, and the systems of
+    one tolerance are factored in one ``solution_bases`` call per
+    ``_MEET_CHUNK`` entries.  That call solves each system on its own, so a
+    meet has the same bits whether it is solved alone or in a batch.
+    """
+    families = [list(family) for family in families]
+    size = len(families[0]) if families else 0
+    if any(len(family) != size for family in families):
+        raise DimensionMismatchError("batched meets need families of one size")
+    dims = {p.dim for family in families for p in family}
+    if dims - {dim}:
+        raise DimensionMismatchError(f"projectors on dims {sorted(dims)}, expected {dim}")
+    eye = np.eye(dim, dtype=complex)
+    systems = np.empty((len(families), size, dim, dim), dtype=complex)
+    gaps: dict[int, np.ndarray] = {}
+    for system, family in zip(systems, families):
+        for block, p in zip(system, family):
+            if id(p) in gaps:
+                block[...] = gaps[id(p)]
+            else:
+                gaps[id(p)] = np.subtract(eye, p.matrix, out=block)
+    systems = systems.reshape(len(families), size * dim, dim)
+    tols = [family[0].tol if family else DEFAULT_TOL for family in families]
+    step = max(1, _MEET_CHUNK // max(1, size * dim * dim))
+    meets: list[Projector] = [None] * len(families)
+    for tol, picked in _by_tolerance(tols):
+        for lo in range(0, len(picked), step):
+            chunk = picked[lo:lo + step]
+            stack = systems if len(chunk) == len(families) else systems[chunk]
+            for i, basis in zip(chunk, solution_bases(stack, dim, tol)):
+                meets[i] = Projector(basis, dim=dim, tol=tols[i])
+    return meets
+
+
+def _by_tolerance(tols: Sequence[ToleranceConfig]) -> list[tuple[ToleranceConfig, list[int]]]:
+    """The indices of ``tols`` grouped by tolerance, in first-seen order."""
+    groups: dict[ToleranceConfig, list[int]] = {}
+    for i, tol in enumerate(tols):
+        groups.setdefault(tol, []).append(i)
+    return list(groups.items())
 
 
 def ortho(p: Projector) -> Projector:
@@ -162,10 +212,35 @@ def ortho(p: Projector) -> Projector:
     complement is exact rather than merely close.
     """
     if p._complement is None:
-        q = Projector(kernel_basis(p.matrix, p.tol), dim=p.dim, tol=p.tol)
-        q._complement = p
-        p._complement = q
+        _cache_complement(p, kernel_basis(p.matrix, p.tol))
     return p._complement
+
+
+def ortho_each(projectors: Sequence[Projector]) -> list[Projector]:
+    """``ortho`` of each projector in a list of one dimension.
+
+    Cached complements are reused, a projector listed twice is solved once,
+    and the kernels of the rest are factored together, one ``solution_bases``
+    call per tolerance, each judged at its projector's own tolerance as
+    ``ortho`` judges it.  Every new complement is cached both ways, with the
+    bits ``ortho`` gives it.
+    """
+    projectors = list(projectors)
+    fresh = list({id(p): p for p in projectors if p._complement is None}.values())
+    if fresh:
+        dim = _require_same_dim(*fresh)
+        for tol, picked in _by_tolerance([p.tol for p in fresh]):
+            stack = np.stack([fresh[i].matrix for i in picked])
+            for i, basis in zip(picked, solution_bases(stack, dim, tol)):
+                _cache_complement(fresh[i], basis)
+    return [p._complement for p in projectors]
+
+
+def _cache_complement(p: Projector, basis: np.ndarray) -> None:
+    """Store the complement spanned by ``basis`` on ``p`` and ``p`` on it."""
+    q = Projector(basis, dim=p.dim, tol=p.tol)
+    q._complement = p
+    p._complement = q
 
 
 def join(p: Projector, q: Projector) -> Projector:
@@ -182,6 +257,8 @@ def join_all(projectors: Sequence[Projector], dim: int | None = None) -> Project
             raise DimensionMismatchError("join of an empty family needs an explicit dimension")
         return Projector.zero(dim)
     d = _require_same_dim(*projectors)
+    if dim is not None and dim != d:
+        raise DimensionMismatchError(f"projectors act on dimension {d}, expected {dim}")
     stacked = np.hstack([p.basis for p in projectors])
     return Projector.from_basis(stacked, dim=d, tol=projectors[0].tol)
 

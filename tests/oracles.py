@@ -9,7 +9,6 @@ on it):
 
 * ``unscreened_meets``: ``eigenspace_meets`` without its weight screen, every
   target solved;
-* ``meet_each``: ``meet_all`` of each family in a list, in one batched solve;
 * ``meet_weak_limit``: the meet as the limit of (P Q)^n;
 * ``logical_equiv``: the biconditional of two Sasaki arrows;
 * ``stacked_joint_atoms``: every joint spectral atom, a stacked meet each;
@@ -21,6 +20,8 @@ on it):
 
 Commutator projections (``commutators``):
 
+* ``com_family_by_meet_all``: the sign-map join with one ``ortho`` per member
+  and one ``meet_all`` per sign map;
 * ``stacked_com_kernel``: the triple products [P_i, P_j] P_k in one stack;
 * ``algebra_route``: the joint kernel of [a, g] over the generated algebra's
   basis and letters;
@@ -70,8 +71,11 @@ from qlogic.linalg import (
 from qlogic.projectors import (
     Projector,
     common_null_space_projector,
+    join_all,
     meet,
     meet_all,
+    meet_each,
+    ortho,
     sasaki_implies,
 )
 from qlogic.tolerances import DEFAULT_TOL
@@ -111,30 +115,6 @@ def unscreened_meets(bases, x, targets, tol):
                 if kept.shape[1]:
                     meets[k] = bases[targets[k][0]] @ kept
     return meets
-
-
-def meet_each(families, dim):
-    """``meet_all`` of each family in a list of families of one size.
-
-    The families' kernel systems are stacked and factored in one
-    ``solution_bases`` call.  ``meet_all`` solves through ``solution_basis``,
-    the same kernel on a stack of one, so each meet has the bits ``meet_all``
-    gives it by construction.
-    """
-    families = [list(family) for family in families]
-    sizes = {len(family) for family in families}
-    if len(sizes) > 1:
-        raise DimensionMismatchError("batched meets need families of one size")
-    dims = {p.dim for family in families for p in family}
-    if dims - {dim}:
-        raise DimensionMismatchError(f"projectors on dims {sorted(dims)}, expected {dim}")
-    eye = np.eye(dim, dtype=complex)
-    rows = sizes.pop() * dim if sizes else 0
-    systems = np.array([[eye - p.matrix for p in family] for family in families],
-                       dtype=complex).reshape(len(families), rows, dim)
-    tol = families[0][0].tol if rows else DEFAULT_TOL
-    return [Projector(basis, dim=dim, tol=tol)
-            for basis in solution_bases(systems, dim, tol)]
 
 
 def meet_weak_limit(p, q, iterations=200):
@@ -238,6 +218,16 @@ def common_eigenvector_span_by_meets(xs, mode):
 
 # ---------------------------------------------------------------------------
 # commutator projections
+
+
+def com_family_by_meet_all(family):
+    """Oracle for ``com_family``: the loop it ran before it batched its
+    solves, one ``ortho`` per member and one ``meet_all`` per sign map."""
+    dim = family[0].dim
+    signed = [(p, ortho(p)) for p in family]
+    meets = [meet_all([pair[s] for pair, s in zip(signed, signs)], dim=dim)
+             for signs in itertools.product((0, 1), repeat=len(family))]
+    return join_all(meets, dim=dim)
 
 
 def stacked_com_kernel(family):

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import _ONE_GIB, SIGMA_X, SIGMA_Z, _run_under_one_gib, x_plus, z_up
 from families import FAMILY_KINDS, observable_family, projector_family, projector_pair
-from oracles import algebra_route, all_pairs_route, letter_commutator_norm, stacked_com_kernel
+from oracles import (
+    algebra_route,
+    all_pairs_route,
+    com_family_by_meet_all,
+    letter_commutator_norm,
+    stacked_com_kernel,
+)
 from qlogic import commutators, linalg, observables, projectors
 from qlogic.algebras import (
     algebra_from_generators,
@@ -31,6 +37,8 @@ from qlogic.sampling import (
     haar_unitary,
     random_block_observables,
     random_commuting_observables,
+    random_projector,
+    random_subprojector,
     rng_from_seed,
 )
 from qlogic.tolerances import DEFAULT_TOL
@@ -82,8 +90,9 @@ def test_com_pair_builds_no_meet(monkeypatch):
 
     monkeypatch.setattr(projectors, "meet", no_meet)
     monkeypatch.setattr(projectors, "meet_all", no_meet)
+    monkeypatch.setattr(projectors, "meet_each", no_meet)
     monkeypatch.setattr(observables, "eigenspace_meets", no_meet)
-    monkeypatch.setattr(commutators, "meet_all", no_meet)
+    monkeypatch.setattr(commutators, "meet_each", no_meet)
     monkeypatch.setattr(commutators, "joint_atoms", no_meet)
     p, q = block_pair()
     assert opnorm(com_pair(p, q).matrix - SECOND_BLOCK) < 1e-8
@@ -136,6 +145,62 @@ def test_com_family_size_cap():
     members = [Projector.identity(2)] * 13
     with pytest.raises(FamilyTooLargeError):
         com_family(members)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       dim=st.integers(min_value=1, max_value=6),
+       count=st.integers(min_value=1, max_value=4),
+       cached=st.integers(min_value=0, max_value=15),
+       loose=st.booleans())
+def test_com_family_has_the_bits_of_one_meet_all_per_sign_map(seed, dim, count, cached, loose):
+    # Members are drawn with repeats from a pool holding the zero, the
+    # identity, subprojectors of one parent and one member at a loose
+    # tolerance; the members flagged in ``cached`` have their complement
+    # before the call.
+    rng = rng_from_seed(seed)
+    parent = random_projector(dim, rng)
+    tol = DEFAULT_TOL.with_assert_tol(1e-6) if loose else DEFAULT_TOL
+    pool = [Projector.zero(dim), Projector.identity(dim), parent,
+            random_projector(dim, rng, tol=tol), random_subprojector(parent, rng),
+            random_subprojector(parent, rng)]
+    family = [pool[int(i)] for i in rng.integers(0, len(pool), size=count)]
+    for k, p in enumerate(family):
+        if cached >> k & 1:
+            ortho(p)
+    # The oracle runs on copies, so it solves every complement itself.
+    copies = {id(p): Projector(p.basis, dim=dim, tol=p.tol) for p in family}
+    expected = com_family_by_meet_all([copies[id(p)] for p in family])
+    got = com_family(family)
+    assert got.tol is family[0].tol
+    assert np.array_equal(got.basis, expected.basis)
+    assert np.array_equal(got.matrix, expected.matrix)
+    for p in family:
+        assert ortho(ortho(p)) is p and ortho(p).tol is p.tol
+        assert np.array_equal(ortho(p).basis, ortho(copies[id(p)]).basis)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+def test_com_family_solves_in_two_batched_calls(monkeypatch, count):
+    # Members of one tolerance with no cached complement: one solve for the
+    # complements, one for the 2^k meets, one range for the join.
+    calls = {"solution_bases": 0, "range_basis": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (linalg, projectors):
+        counting(module, "solution_bases")
+        counting(module, "range_basis")
+    family = [random_projector(3, rng_from_seed(count + k)) for k in range(count)]
+    com_family(family)
+    assert calls == {"solution_bases": 2, "range_basis": 1}
 
 
 def test_com_kernel_empty_family_rejected():

@@ -21,9 +21,11 @@ from qlogic.projectors import (
     meet,
     meet_all,
     ortho,
+    ortho_each,
     sasaki_implies,
 )
 from qlogic.sampling import random_projector, random_subprojector, rng_from_seed
+from qlogic.tolerances import DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +127,34 @@ def test_meet_all_and_join_all():
     assert join_all([e0, e1], dim=3).isclose(plane)
     assert meet_all([], dim=3).rank == 3
     assert join_all([], dim=3).rank == 0
+
+
+def test_meet_all_and_join_all_refuse_a_dimension_the_members_do_not_have():
+    members = [Projector.identity(3), Projector.zero(3)]
+    with pytest.raises(DimensionMismatchError):
+        meet_all(members, dim=5)
+    with pytest.raises(DimensionMismatchError):
+        join_all(members, dim=5)
+    assert meet_all(members, dim=3).rank == 0
+    assert join_all(members, dim=3).rank == 3
+
+
+def test_ortho_each_has_the_bits_of_ortho_and_caches_both_ways():
+    rng = rng_from_seed(8)
+    loose = DEFAULT_TOL.with_assert_tol(1e-6)
+    p, q = random_projector(4, rng), random_projector(4, rng, tol=loose)
+    cached = random_projector(4, rng)
+    before = ortho(cached)
+    members = [p, q, cached, p, Projector.zero(4), Projector.identity(4)]
+    # Copies without a cached complement, complemented one by one.
+    expected = [ortho(Projector(m.basis, dim=4, tol=m.tol)) for m in members]
+    got = ortho_each(members)
+    assert got[2] is before and got[3] is got[0]
+    for member, complement, reference in zip(members, got, expected):
+        assert complement.tol is member.tol
+        assert np.array_equal(complement.basis, reference.basis)
+        assert np.array_equal(complement.matrix, reference.matrix)
+        assert ortho(complement) is member and ortho(member) is complement
 
 
 def test_ortho_double_complement_returns_same_object():
